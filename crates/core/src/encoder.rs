@@ -380,10 +380,15 @@ impl LecaEncoder {
                 *g = 0.0;
             }
         }
-        self.v_fs.grad.as_mut_slice()[0] += g_vfs as f32;
+        // Frozen parameters accumulate no gradient (see `Param::frozen`).
+        if !self.v_fs.frozen {
+            self.v_fs.grad.as_mut_slice()[0] += g_vfs as f32;
+        }
         let g_y = g_u.scale(1.0 / vfs);
-        let gw = ops::conv2d_grad_weight(&cache.x, &g_y, self.k, self.k, self.k, 0)?;
-        self.weight.accumulate(&gw);
+        if !self.weight.frozen {
+            let gw = ops::conv2d_grad_weight(&cache.x, &g_y, self.k, self.k, self.k, 0)?;
+            self.weight.accumulate(&gw);
+        }
         Ok(ops::conv2d_grad_input(
             &g_y,
             &self.weight.value,
@@ -654,8 +659,12 @@ impl LecaEncoder {
                 }
             }
         }
-        self.v_fs.grad.as_mut_slice()[0] += g_vfs as f32;
-        self.weight.accumulate(&gw);
+        if !self.v_fs.frozen {
+            self.v_fs.grad.as_mut_slice()[0] += g_vfs as f32;
+        }
+        if !self.weight.frozen {
+            self.weight.accumulate(&gw);
+        }
         Ok(gx)
     }
 }

@@ -30,9 +30,10 @@ impl std::fmt::Debug for LecaPipeline {
 }
 
 impl LecaPipeline {
-    /// Assembles the pipeline. The backbone is frozen here: its parameters
-    /// keep propagating gradients but are never updated (Sec. 3.4,
-    /// "Freezing the backbone weights is a deliberate choice").
+    /// Assembles the pipeline. The backbone is frozen here: gradients keep
+    /// propagating through it, but its parameters get no gradient and are
+    /// never updated (Sec. 3.4, "Freezing the backbone weights is a
+    /// deliberate choice").
     ///
     /// # Errors
     ///
@@ -134,8 +135,9 @@ impl LecaPipeline {
     }
 
     /// One training step's forward + backward: returns the batch loss.
-    /// Gradients accumulate in the encoder/decoder (and backbone, though
-    /// its frozen parameters are skipped by optimizers).
+    /// Gradients accumulate in the encoder/decoder. The gradient flows
+    /// through the frozen backbone, but its parameters accumulate none
+    /// (see `Param::frozen`), so no weight-gradient GEMM runs there.
     ///
     /// # Errors
     ///
@@ -252,6 +254,54 @@ mod tests {
         p.backbone_mut()
             .visit_params(&mut |pp| any_unfrozen |= !pp.frozen);
         assert!(!any_unfrozen, "backbone must be frozen");
+    }
+
+    /// Frozen backbone parameters accumulate no gradient, and skipping
+    /// their weight-gradient GEMMs does not perturb the gradients that
+    /// flow through the backbone: encoder and decoder gradients match the
+    /// same step with the backbone unfrozen, bit for bit.
+    #[test]
+    fn frozen_backbone_accumulates_no_gradient_and_leaves_upstream_grads_unchanged() {
+        let (x, labels) = batch(6);
+        let mut frozen = pipeline(Modality::Soft);
+        let mut unfrozen = pipeline(Modality::Soft);
+        unfrozen.set_backbone_frozen(false);
+        let loss_frozen = frozen.train_step(&x, &labels).unwrap();
+        let loss_unfrozen = unfrozen.train_step(&x, &labels).unwrap();
+        assert_eq!(loss_frozen.to_bits(), loss_unfrozen.to_bits());
+
+        let mut frozen_count = 0;
+        frozen.backbone_mut().visit_params(&mut |p| {
+            assert!(p.frozen);
+            assert!(
+                p.grad.as_slice().iter().all(|&g| g.to_bits() == 0),
+                "frozen backbone parameter accumulated a gradient"
+            );
+            frozen_count += 1;
+        });
+        assert!(frozen_count > 0);
+        let mut unfrozen_norm = 0.0;
+        unfrozen
+            .backbone_mut()
+            .visit_params(&mut |p| unfrozen_norm += p.grad.norm_sq());
+        assert!(
+            unfrozen_norm > 0.0,
+            "an unfrozen backbone must get gradients"
+        );
+
+        let grad_bits = |p: &mut LecaPipeline| {
+            let mut bits = Vec::new();
+            p.encoder_mut().visit_params(&mut |pp| {
+                bits.extend(pp.grad.as_slice().iter().map(|g| g.to_bits()))
+            });
+            p.decoder_mut().visit_params(&mut |pp| {
+                bits.extend(pp.grad.as_slice().iter().map(|g| g.to_bits()))
+            });
+            bits
+        };
+        let upstream = grad_bits(&mut frozen);
+        assert!(upstream.iter().any(|&b| b != 0));
+        assert_eq!(upstream, grad_bits(&mut unfrozen));
     }
 
     #[test]

@@ -214,8 +214,14 @@ impl Layer for BatchNorm2d {
                     dgamma += dy * cache.x_hat.as_slice()[idx] as f64;
                 }
             }
-            self.gamma.grad.as_mut_slice()[ci] += dgamma as f32;
-            self.beta.grad.as_mut_slice()[ci] += dbeta as f32;
+            // The reductions feed the input gradient either way; frozen
+            // parameters accumulate no gradient (see `Param::frozen`).
+            if !self.gamma.frozen {
+                self.gamma.grad.as_mut_slice()[ci] += dgamma as f32;
+            }
+            if !self.beta.frozen {
+                self.beta.grad.as_mut_slice()[ci] += dbeta as f32;
+            }
 
             let g = self.gamma.value.as_slice()[ci];
             let scale = g * cache.inv_std[ci];

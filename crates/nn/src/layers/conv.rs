@@ -126,16 +126,20 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         let x = self.cache.take().ok_or(NnError::NoForwardCache("conv2d"))?;
-        let gw = ops::conv2d_grad_weight(
-            &x,
-            grad_out,
-            self.kernel,
-            self.kernel,
-            self.stride,
-            self.pad,
-        )?;
-        self.weight.accumulate(&gw);
-        if let Some(b) = &mut self.bias {
+        // Frozen parameters accumulate no gradient (see `Param::frozen`):
+        // their GEMMs would produce values nothing reads.
+        if !self.weight.frozen {
+            let gw = ops::conv2d_grad_weight(
+                &x,
+                grad_out,
+                self.kernel,
+                self.kernel,
+                self.stride,
+                self.pad,
+            )?;
+            self.weight.accumulate(&gw);
+        }
+        if let Some(b) = self.bias.as_mut().filter(|b| !b.frozen) {
             let gb = ops::sum_spatial_per_channel(grad_out)?;
             b.accumulate(&gb);
         }

@@ -91,16 +91,19 @@ impl Layer for ConvTranspose2d {
             .cache
             .take()
             .ok_or(NnError::NoForwardCache("conv_transpose2d"))?;
-        let gw = ops::conv_transpose2d_grad_weight(
-            &x,
-            grad_out,
-            self.kernel,
-            self.kernel,
-            self.stride,
-            self.pad,
-        )?;
-        self.weight.accumulate(&gw);
-        if let Some(b) = &mut self.bias {
+        // Frozen parameters accumulate no gradient (see `Param::frozen`).
+        if !self.weight.frozen {
+            let gw = ops::conv_transpose2d_grad_weight(
+                &x,
+                grad_out,
+                self.kernel,
+                self.kernel,
+                self.stride,
+                self.pad,
+            )?;
+            self.weight.accumulate(&gw);
+        }
+        if let Some(b) = self.bias.as_mut().filter(|b| !b.frozen) {
             b.accumulate(&ops::sum_spatial_per_channel(grad_out)?);
         }
         Ok(ops::conv_transpose2d_grad_input(

@@ -63,10 +63,15 @@ impl Layer for Linear {
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         let x = self.cache.take().ok_or(NnError::NoForwardCache("linear"))?;
-        // dW = gᵀ · x ; db = sum over batch ; dx = g · W
-        let gw = ops::matmul_at(grad_out, &x)?;
-        self.weight.accumulate(&gw);
-        self.bias.accumulate(&ops::sum_axis0(grad_out)?);
+        // dW = gᵀ · x ; db = sum over batch ; dx = g · W. Frozen
+        // parameters accumulate no gradient (see `Param::frozen`).
+        if !self.weight.frozen {
+            let gw = ops::matmul_at(grad_out, &x)?;
+            self.weight.accumulate(&gw);
+        }
+        if !self.bias.frozen {
+            self.bias.accumulate(&ops::sum_axis0(grad_out)?);
+        }
         Ok(ops::matmul(grad_out, &self.weight.value)?)
     }
 

@@ -9,12 +9,18 @@ use leca_tensor::Tensor;
 pub struct Param {
     /// Current parameter value.
     pub value: Tensor,
-    /// Gradient accumulated by the most recent backward pass(es).
+    /// Gradient accumulated by the most recent backward pass(es). A frozen
+    /// parameter accumulates nothing, so its `grad` stays as it was: zero
+    /// after construction or [`Param::zero_grad`].
     pub grad: Tensor,
-    /// When `true`, optimizers must not update this parameter.
+    /// When `true`, optimizers must not update this parameter, and layer
+    /// backward passes skip its gradient (PyTorch's
+    /// `requires_grad=False`): no weight-gradient GEMM runs for it and
+    /// nothing is added to [`Param::grad`].
     ///
     /// Freezing is how the paper keeps the pre-trained backbone fixed while
-    /// gradients still flow *through* it to the encoder/decoder.
+    /// gradients still flow *through* it to the encoder/decoder: the input
+    /// gradient a layer returns does not depend on this flag.
     pub frozen: bool,
 }
 

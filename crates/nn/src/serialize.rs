@@ -97,13 +97,28 @@ fn write_tensor(out: &mut Vec<u8>, t: &Tensor) {
 }
 
 fn read_u32(data: &[u8], pos: &mut usize) -> Result<u32> {
-    let end = *pos + 4;
-    if end > data.len() {
-        return Err(NnError::CheckpointMismatch("truncated checkpoint".into()));
-    }
+    let end = pos
+        .checked_add(4)
+        .filter(|&end| end <= data.len())
+        .ok_or_else(|| NnError::CheckpointMismatch("truncated checkpoint".into()))?;
     let v = u32::from_le_bytes(data[*pos..end].try_into().expect("length checked"));
     *pos = end;
     Ok(v)
+}
+
+/// Reads a tensor count and bounds it by the bytes left: every encoded
+/// tensor takes at least 4 (its rank), so a larger count cannot be
+/// honest, and reserving room for it could abort on allocation.
+fn read_count(data: &[u8], pos: &mut usize, what: &str) -> Result<usize> {
+    let n = read_u32(data, pos)? as usize;
+    let room = (data.len() - *pos) / 4;
+    if n > room {
+        return Err(NnError::CheckpointMismatch(format!(
+            "checkpoint claims {n} {what} tensors but only {} bytes remain",
+            data.len() - *pos
+        )));
+    }
+    Ok(n)
 }
 
 fn read_tensor(data: &[u8], pos: &mut usize) -> Result<Tensor> {
@@ -115,11 +130,17 @@ fn read_tensor(data: &[u8], pos: &mut usize) -> Result<Tensor> {
     for _ in 0..rank {
         dims.push(read_u32(data, pos)? as usize);
     }
-    let len: usize = dims.iter().product();
-    let end = *pos + 4 * len;
-    if end > data.len() {
-        return Err(NnError::CheckpointMismatch("truncated tensor data".into()));
-    }
+    // Every size computation is checked: a hostile header must yield
+    // `Err`, never an overflow or an attempt to allocate its claim.
+    let len = dims
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .ok_or_else(|| NnError::CheckpointMismatch(format!("tensor dims {dims:?} overflow")))?;
+    let end = len
+        .checked_mul(4)
+        .and_then(|bytes| pos.checked_add(bytes))
+        .filter(|&end| end <= data.len())
+        .ok_or_else(|| NnError::CheckpointMismatch("truncated tensor data".into()))?;
     let mut vals = Vec::with_capacity(len);
     for i in 0..len {
         let off = *pos + 4 * i;
@@ -163,12 +184,12 @@ pub fn from_bytes<L: Layer + ?Sized>(layer: &mut L, data: &[u8]) -> Result<()> {
         return Err(NnError::CheckpointMismatch("bad magic".into()));
     }
     let mut pos = 8usize;
-    let n_params = read_u32(data, &mut pos)? as usize;
+    let n_params = read_count(data, &mut pos, "parameter")?;
     let mut params = Vec::with_capacity(n_params);
     for _ in 0..n_params {
         params.push(read_tensor(data, &mut pos)?);
     }
-    let n_buffers = read_u32(data, &mut pos)? as usize;
+    let n_buffers = read_count(data, &mut pos, "buffer")?;
     let mut buffers = Vec::with_capacity(n_buffers);
     for _ in 0..n_buffers {
         buffers.push(read_tensor(data, &mut pos)?);
@@ -353,6 +374,53 @@ mod tests {
         let bytes = to_bytes(&mut a);
         let mut b = small_net(12);
         assert!(from_bytes(&mut b, &bytes[..bytes.len() / 2]).is_err());
+    }
+
+    /// A header whose counts or dims claim more than the bytes hold must
+    /// be rejected before anything is reserved for it: these inputs used
+    /// to abort (capacity overflow) or overflow the size arithmetic.
+    #[test]
+    fn hostile_headers_are_rejected_not_fatal() {
+        let mut n = small_net(20);
+        let header = |words: &[u32]| {
+            let mut b = MAGIC.to_vec();
+            for w in words {
+                b.extend_from_slice(&w.to_le_bytes());
+            }
+            b
+        };
+        let cases = [
+            // u32::MAX parameter tensors, nothing after the count.
+            header(&[u32::MAX]),
+            // u32::MAX buffer tensors after an empty parameter list.
+            header(&[0, u32::MAX]),
+            // One rank-8 tensor whose dims multiply past usize::MAX.
+            header(&[
+                1,
+                8,
+                u32::MAX,
+                u32::MAX,
+                u32::MAX,
+                u32::MAX,
+                u32::MAX,
+                u32::MAX,
+                2,
+                2,
+            ]),
+            // Dims whose element count fits but whose byte count does not.
+            header(&[1, 2, u32::MAX, u32::MAX]),
+            // An honest-looking tensor that claims far more data than present.
+            header(&[1, 1, 1 << 30, 0, 0]),
+        ];
+        for (i, bytes) in cases.iter().enumerate() {
+            assert!(
+                matches!(
+                    from_bytes(&mut n, bytes),
+                    Err(NnError::CheckpointMismatch(_))
+                ),
+                "case {i} must be rejected"
+            );
+        }
     }
 
     #[test]

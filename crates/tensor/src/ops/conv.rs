@@ -18,19 +18,20 @@
 //! time. The standalone [`im2col`]/[`col2im`] entry points remain for the
 //! scatter-based paths and for tests.
 
-use super::gemm::{gemm, Im2colView, Operand};
+use super::gemm::{gemm, scratch_prefix, valid_run, Im2colView, Operand};
 use crate::parallel::par_rows_mut;
 use crate::{Result, Tensor, TensorError};
 use std::cell::RefCell;
 
 thread_local! {
     /// Scratch for the `(O, N*oh*ow)` / `(Ci, N*H*W)` channel-major
-    /// matrices the `_into` convolution kernels stage their GEMM through,
-    /// reused across calls so the steady state allocates nothing.
+    /// matrices the convolution kernels stage their GEMM through, reused
+    /// across calls so the steady state allocates nothing.
     static MAT_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Scratch for the `(O*kh*kw, N*H*W)` column matrix of
-    /// [`conv_transpose2d_into`]; distinct from [`MAT_SCRATCH`] because
-    /// both are live at once.
+    /// Scratch for the column matrices of [`conv_transpose2d_into`]
+    /// (`(O*kh*kw, N*H*W)`) and [`conv2d_grad_input`] (`(C*kh*kw,
+    /// N*oh*ow)`); distinct from [`MAT_SCRATCH`] because both are live at
+    /// once.
     static COLS_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -78,6 +79,11 @@ impl Conv2dGeometry {
         ))
     }
 }
+
+/// Target size, in floats, of the column-matrix chunk
+/// [`conv2d_grad_input`] folds at a time (512 KB: a decoder layer's single
+/// image, several of the backbone's smaller ones).
+const COL2IM_CHUNK_FLOATS: usize = 1 << 17;
 
 fn expect_rank4(op: &'static str, t: &Tensor) -> Result<[usize; 4]> {
     if t.rank() != 4 {
@@ -273,6 +279,11 @@ pub fn col2im(
 }
 
 /// Scatter-add core of [`col2im`]; `dst` must be pre-zeroed NCHW storage.
+///
+/// Every destination element receives its adds in increasing `r` order,
+/// whichever path runs. At stride 1 a grid row maps onto one input-row
+/// segment, so each valid `ox` range (resolved by [`valid_run`]) lands as
+/// one slice add; other strides scatter element by element.
 #[allow(clippy::too_many_arguments)]
 fn col2im_scatter(
     src: &[f32],
@@ -300,19 +311,26 @@ fn col2im_scatter(
                 let ky = (r / kw) % kh;
                 let kx = r % kw;
                 let srow = &src[r * row_len + ni * grid_h * grid_w..];
+                // Valid grid columns for this tap: the same for every row.
+                let sx = kx as isize - pad as isize;
+                let (lo, hi) = valid_run(sx, stride, w, grid_w);
                 for oy in 0..grid_h {
                     let iy = oy * stride + ky;
                     let iy = match iy.checked_sub(pad) {
                         Some(v) if v < h => v,
                         _ => continue,
                     };
-                    for ox in 0..grid_w {
-                        let ix = ox * stride + kx;
-                        let ix = match ix.checked_sub(pad) {
-                            Some(v) if v < w => v,
-                            _ => continue,
-                        };
-                        img[(ci * h + iy) * w + ix] += srow[oy * grid_w + ox];
+                    let s = &srow[oy * grid_w + lo..oy * grid_w + hi];
+                    let d0 = (ci * h + iy) * w;
+                    if stride == 1 {
+                        let x0 = (sx + lo as isize) as usize;
+                        for (d, &v) in img[d0 + x0..d0 + x0 + s.len()].iter_mut().zip(s) {
+                            *d += v;
+                        }
+                    } else {
+                        for (ox, &v) in (lo..hi).zip(s) {
+                            img[d0 + (sx + (ox * stride) as isize) as usize] += v;
+                        }
                     }
                 }
             }
@@ -387,9 +405,9 @@ pub fn conv2d_into(
     let ckk = c * kh * kw;
     let row_len = n * oh * ow;
     MAT_SCRATCH.with(|cell| {
-        let mut out_mat = cell.borrow_mut();
-        out_mat.clear();
-        out_mat.resize(o * row_len, 0.0);
+        // The GEMM overwrites every element of the matrix.
+        let mut scratch = cell.borrow_mut();
+        let out_mat = scratch_prefix(&mut scratch, o * row_len);
         gemm(
             o,
             row_len,
@@ -398,7 +416,7 @@ pub fn conv2d_into(
             ckk,
             1,
             &Operand::Im2col(view),
-            &mut out_mat,
+            out_mat,
         );
         if let Some(b) = bias {
             for (oi, &bv) in b.as_slice().iter().enumerate() {
@@ -408,7 +426,7 @@ pub fn conv2d_into(
                 );
             }
         }
-        c_nm_to_nchw_slice(&out_mat, n, o, oh * ow, out.as_mut_slice());
+        c_nm_to_nchw_slice(out_mat, n, o, oh * ow, out.as_mut_slice());
     });
     Ok(())
 }
@@ -436,12 +454,60 @@ pub fn conv2d_grad_input(
             rhs: weight.shape().to_vec(),
         });
     }
-    let gmat = nchw_to_c_nm(grad_out)?;
-    let wmat = weight.reshape(&[o, c * kh * kw])?;
-    let grad_cols = crate::ops::matmul_at(&wmat, &gmat)?;
-    col2im(
-        &grad_cols, n, c, x_shape[2], x_shape[3], kh, kw, stride, pad, oh, ow,
-    )
+    let (h, w) = (x_shape[2], x_shape[3]);
+    let (ckk, opix, chw) = (c * kh * kw, oh * ow, c * h * w);
+    let mut grad_x = Tensor::zeros(&[n, c, h, w]);
+    // grad_cols = Wᵀ · gmat with W the (O, C*kh*kw) weight matrix as a
+    // strided view (exactly `matmul_at`), then folded back by col2im. The
+    // batch is walked a few images at a time, so the column matrix stays
+    // cache-sized instead of spanning the whole batch; each column's chain
+    // (over `o`) and each pixel's adds (over `r`) are the same either way.
+    // Both matrices live in grow-only thread-local scratch.
+    let imgs = (COL2IM_CHUNK_FLOATS / (ckk * opix).max(1)).clamp(1, n.max(1));
+    MAT_SCRATCH.with(|gc| {
+        COLS_SCRATCH.with(|cc| {
+            let (mut gscratch, mut cscratch) = (gc.borrow_mut(), cc.borrow_mut());
+            let mut i0 = 0;
+            while i0 < n {
+                let nb = imgs.min(n - i0);
+                let row_len = nb * opix;
+                let gmat = scratch_prefix(&mut gscratch, o * row_len);
+                let cols = scratch_prefix(&mut cscratch, ckk * row_len);
+                let gy = &grad_out.as_slice()[i0 * o * opix..(i0 + nb) * o * opix];
+                nchw_to_c_nm_slice(gy, nb, o, opix, gmat);
+                gemm(
+                    ckk,
+                    row_len,
+                    o,
+                    weight.as_slice(),
+                    1,
+                    ckk,
+                    &Operand::Strided {
+                        data: gmat,
+                        rs: row_len,
+                        cs: 1,
+                    },
+                    cols,
+                );
+                col2im_scatter(
+                    cols,
+                    &mut grad_x.as_mut_slice()[i0 * chw..(i0 + nb) * chw],
+                    nb,
+                    c,
+                    h,
+                    w,
+                    kh,
+                    kw,
+                    stride,
+                    pad,
+                    oh,
+                    ow,
+                );
+                i0 += nb;
+            }
+        });
+    });
+    Ok(grad_x)
 }
 
 /// Gradient of [`conv2d`] with respect to its weight.
@@ -467,22 +533,27 @@ pub fn conv2d_grad_weight(
             rhs: vec![n, o, oh, ow],
         });
     }
-    let gmat = nchw_to_c_nm(grad_out)?;
     // dW = dY · im2col(x)ᵀ, with the transposed im2col consumed virtually
-    // by panel packing.
+    // by panel packing and dY staged channel-major in grow-only scratch.
     let ckk = c * kh * kw;
-    let mut grad_wmat = Tensor::zeros(&[o, ckk]);
-    gemm(
-        o,
-        ckk,
-        n * oh * ow,
-        gmat.as_slice(),
-        n * oh * ow,
-        1,
-        &Operand::Im2colT(view),
-        grad_wmat.as_mut_slice(),
-    );
-    grad_wmat.reshape(&[o, c, kh, kw])
+    let row_len = n * oh * ow;
+    let mut grad_w = Tensor::zeros(&[o, c, kh, kw]);
+    MAT_SCRATCH.with(|gc| {
+        let mut gscratch = gc.borrow_mut();
+        let gmat = scratch_prefix(&mut gscratch, o * row_len);
+        nchw_to_c_nm_slice(grad_out.as_slice(), n, o, oh * ow, gmat);
+        gemm(
+            o,
+            ckk,
+            row_len,
+            gmat,
+            row_len,
+            1,
+            &Operand::Im2colT(view),
+            grad_w.as_mut_slice(),
+        );
+    });
+    Ok(grad_w)
 }
 
 /// Forward transposed convolution: `x (N,Ci,H,W) * w (Ci,O,kh,kw)`.

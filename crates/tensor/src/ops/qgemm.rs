@@ -20,6 +20,7 @@
 //! *and* `LECA_BACKEND` by construction (the parity suite still proves
 //! the latter).
 
+use super::gemm::valid_run;
 use crate::backend::{self, MR, NR};
 use crate::parallel::par_rows_mut;
 use std::cell::RefCell;
@@ -331,7 +332,7 @@ fn pack_im2col_row_panel(v: &QIm2col, j0: usize, jn: usize, dst: &mut [i16]) {
     let rem0 = j0 % opix;
     let ybase = (rem0 / v.ow) * v.stride;
     let x0 = ((rem0 % v.ow) * v.stride) as isize;
-    let (h, w, pad) = (v.h as isize, v.w as isize, v.pad as isize);
+    let (h, pad) = (v.h as isize, v.pad as isize);
     let stride1 = v.stride == 1;
 
     let chw = v.h * v.w;
@@ -345,20 +346,9 @@ fn pack_im2col_row_panel(v: &QIm2col, j0: usize, jn: usize, dst: &mut [i16]) {
             let block = &mut dst[p2 * NR * 2..(p2 + cpairs) * NR * 2];
             p2 += cpairs;
             let sx = x0 + kx as isize - pad;
-            if !y_ok || sx >= w {
-                block.fill(0);
-                continue;
-            }
             // Valid jj range: 0 <= sx + jj * stride < w.
-            let (lo, hi) = if stride1 {
-                ((-sx).max(0) as usize, ((w - sx) as usize).min(jn))
-            } else if sx >= 0 {
-                (0, (((w - 1 - sx) as usize) / v.stride + 1).min(jn))
-            } else {
-                let lo = ((-sx) as usize).div_ceil(v.stride);
-                (lo, (((w - 1 - sx) as usize) / v.stride + 1).min(jn))
-            };
-            if lo >= hi {
+            let (lo, hi) = valid_run(sx, v.stride, v.w, jn);
+            if !y_ok || lo >= hi {
                 block.fill(0);
                 continue;
             }

@@ -487,6 +487,100 @@ where
     });
 }
 
+/// Splits the columns of the row-major `rows x row_len` matrix `out` into
+/// `panels = row_len.div_ceil(panel)` panels of `panel` columns (the last
+/// may be narrower) and runs `f(panel_range, cols)` over disjoint,
+/// contiguous panel ranges in parallel, at least `min_panels` per chunk.
+///
+/// The column-panel counterpart of [`par_rows_mut`], for kernels whose
+/// output rows are few but long: each chunk owns columns
+/// `panel_range.start * panel .. min(panel_range.end * panel, row_len)` of
+/// *every* row, reached through [`ColsMut::row_mut`]. As with every helper
+/// here, the chunk → panel mapping depends only on the problem size and
+/// [`num_threads`].
+///
+/// # Panics
+///
+/// Panics if `out.len() != rows * row_len`, if `panel == 0`, or if a
+/// worker panics.
+pub fn par_col_panels_mut<T, F>(
+    out: &mut [T],
+    rows: usize,
+    row_len: usize,
+    panel: usize,
+    min_panels: usize,
+    f: F,
+) where
+    T: Send,
+    F: Fn(std::ops::Range<usize>, &mut ColsMut<'_, T>) + Sync,
+{
+    assert_eq!(out.len(), rows * row_len, "output buffer size mismatch");
+    assert!(panel > 0, "column panels must be non-empty");
+    let panels = row_len.div_ceil(panel);
+    if panels == 0 {
+        return;
+    }
+    let (chunk, chunks) = split(panels, min_panels);
+    let base = SendPtr(out.as_mut_ptr());
+    pool_run(chunks, |w| {
+        let start = w * chunk;
+        let end = ((w + 1) * chunk).min(panels);
+        if start >= end {
+            return;
+        }
+        let mut cols = ColsMut {
+            base: base.get(),
+            rows,
+            row_len,
+            c0: start * panel,
+            c1: (end * panel).min(row_len),
+            _out: std::marker::PhantomData,
+        };
+        f(start..end, &mut cols);
+    });
+}
+
+/// Exclusive access to one column range `c0..c1` of every row of a
+/// row-major matrix, handed out by [`par_col_panels_mut`]. Other chunks
+/// own the other columns of the same rows, so a row is only ever reached
+/// as the `c0..c1` window returned by [`ColsMut::row_mut`].
+pub struct ColsMut<'a, T> {
+    base: *mut T,
+    rows: usize,
+    row_len: usize,
+    c0: usize,
+    c1: usize,
+    _out: std::marker::PhantomData<&'a mut [T]>,
+}
+
+impl<T> ColsMut<'_, T> {
+    /// The matrix columns this view owns.
+    pub fn cols(&self) -> std::ops::Range<usize> {
+        self.c0..self.c1
+    }
+
+    /// Row `i`'s window `[c0, c1)`; index 0 of the slice is column `c0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= rows`.
+    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
+        assert!(i < self.rows, "row {i} out of {} rows", self.rows);
+        // SAFETY: `c0 <= c1 <= row_len` and `i < rows`, so the window lies
+        // inside the `rows * row_len` buffer borrowed mutably by
+        // `par_col_panels_mut` for the whole parallel region. Chunks own
+        // disjoint column ranges, so no other chunk can reach these
+        // elements, and the `&mut self` receiver keeps at most one window
+        // of this view alive at a time.
+        unsafe {
+            std::slice::from_raw_parts_mut(
+                self.base.add(i * self.row_len + self.c0),
+                self.c1 - self.c0,
+            )
+        }
+    }
+}
+
 /// A raw `*mut T` that may cross thread boundaries; exclusivity is the
 /// caller's obligation (disjoint chunk ranges).
 struct SendPtr<T>(*mut T);
@@ -652,6 +746,36 @@ mod tests {
             total.fetch_add(idx as u64 + 1, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 36);
+        match old {
+            Some(v) => std::env::set_var("LECA_THREADS", v),
+            None => std::env::remove_var("LECA_THREADS"),
+        }
+        refresh_num_threads();
+    }
+
+    #[test]
+    fn par_col_panels_mut_fills_disjoint_columns() {
+        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let old = std::env::var("LECA_THREADS").ok();
+        for threads in ["1", "3"] {
+            std::env::set_var("LECA_THREADS", threads);
+            refresh_num_threads();
+            // 13 columns in panels of 4: the last panel is one column wide.
+            let (rows, row_len) = (3, 13);
+            let mut out = vec![0.0f32; rows * row_len];
+            par_col_panels_mut(&mut out, rows, row_len, 4, 1, |panels, cols| {
+                assert_eq!(cols.cols().start, panels.start * 4);
+                let c0 = cols.cols().start;
+                for i in 0..rows {
+                    for (c, v) in cols.row_mut(i).iter_mut().enumerate() {
+                        *v += (i * row_len + c0 + c) as f32;
+                    }
+                }
+            });
+            for (i, v) in out.iter().enumerate() {
+                assert_eq!(*v, i as f32, "LECA_THREADS={threads}");
+            }
+        }
         match old {
             Some(v) => std::env::set_var("LECA_THREADS", v),
             None => std::env::remove_var("LECA_THREADS"),

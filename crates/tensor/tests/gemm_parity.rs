@@ -5,7 +5,8 @@
 //! shapes where that machinery can go wrong — dimensions of 1, tile-size
 //! +/-1 stragglers, odd primes — and random rectangles, asserting
 //! elementwise agreement with `ops::reference::matmul_naive` to within
-//! 1e-4 relative error.
+//! 1e-4 relative error. The fused convolution kernels are held to the
+//! materialized-im2col matmuls bit for bit.
 
 use leca_tensor::ops::reference::matmul_naive;
 use leca_tensor::ops::{matmul, matmul_at, matmul_bt};
@@ -143,4 +144,149 @@ fn edge_dim_cross_product() {
             }
         }
     }
+}
+
+/// `(N, C, H, W)` -> the channel-major `(C, N*H*W)` matrix the im2col
+/// GEMMs produce and consume.
+fn to_channel_major(t: &Tensor) -> Tensor {
+    let [n, c, h, w] = [t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3]];
+    let mut out = vec![0.0f32; t.len()];
+    for img in 0..n {
+        for ch in 0..c {
+            let src = &t.as_slice()[(img * c + ch) * h * w..][..h * w];
+            out[(ch * n + img) * h * w..][..h * w].copy_from_slice(src);
+        }
+    }
+    Tensor::from_vec(out, &[c, n * h * w]).unwrap()
+}
+
+fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+    }
+}
+
+/// The defining col2im: every column-matrix element added into its input
+/// pixel, rows in increasing order.
+#[allow(clippy::too_many_arguments)]
+fn naive_col2im(
+    cols: &Tensor,
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; n * c * h * w];
+    let row_len = n * oh * ow;
+    for r in 0..c * k * k {
+        let (ch, ky, kx) = (r / (k * k), (r / k) % k, r % k);
+        for col in 0..row_len {
+            let (img, oy, ox) = (col / (oh * ow), (col / ow) % oh, col % ow);
+            let (iy, ix) = (oy * stride + ky, ox * stride + kx);
+            if iy < pad || ix < pad || iy - pad >= h || ix - pad >= w {
+                continue;
+            }
+            out[((img * c + ch) * h + iy - pad) * w + ix - pad] +=
+                cols.as_slice()[r * row_len + col];
+        }
+    }
+    out
+}
+
+/// Checks one geometry of [`fused_conv_kernels_match_materialized_im2col_bitwise`].
+#[allow(clippy::too_many_arguments)]
+fn check_fused_conv_case(
+    rng: &mut rand::rngs::StdRng,
+    (n, c, h, w): (usize, usize, usize, usize),
+    m: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    tag: &str,
+) {
+    use leca_tensor::ops::{
+        col2im, conv2d, conv2d_grad_input, conv2d_grad_weight, conv2d_into, im2col,
+    };
+    let x = Tensor::rand_uniform(&[n, c, h, w], -1.0, 1.0, rng);
+    let wt = Tensor::rand_uniform(&[m, c, k, k], -1.0, 1.0, rng);
+    let cols = im2col(&x, k, k, stride, pad).unwrap();
+    let wmat = wt.reshape(&[m, c * k * k]).unwrap();
+
+    let y = conv2d(&x, &wt, None, stride, pad).unwrap();
+    let (oh, ow) = (y.shape()[2], y.shape()[3]);
+    let want = matmul(&wmat, &cols).unwrap();
+    assert_bits_eq(
+        to_channel_major(&y).as_slice(),
+        want.as_slice(),
+        &format!("conv2d {tag}"),
+    );
+    let mut y_into = Tensor::full(y.shape(), f32::NAN);
+    conv2d_into(&x, &wt, None, stride, pad, &mut y_into).unwrap();
+    assert_bits_eq(
+        y_into.as_slice(),
+        y.as_slice(),
+        &format!("conv2d_into {tag}"),
+    );
+
+    let gy = Tensor::rand_uniform(&[n, m, oh, ow], -1.0, 1.0, rng);
+    let gy_mat = to_channel_major(&gy);
+    let gw = conv2d_grad_weight(&x, &gy, k, k, stride, pad).unwrap();
+    assert_bits_eq(
+        gw.as_slice(),
+        matmul_bt(&gy_mat, &cols).unwrap().as_slice(),
+        &format!("conv2d_grad_weight {tag}"),
+    );
+
+    let gcols = matmul_at(&wmat, &gy_mat).unwrap();
+    let scatter = naive_col2im(&gcols, n, c, h, w, k, stride, pad, oh, ow);
+    let folded = col2im(&gcols, n, c, h, w, k, k, stride, pad, oh, ow).unwrap();
+    assert_bits_eq(folded.as_slice(), &scatter, &format!("col2im {tag}"));
+    let gx = conv2d_grad_input(&gy, &wt, x.shape(), stride, pad).unwrap();
+    assert_bits_eq(gx.as_slice(), &scatter, &format!("conv2d_grad_input {tag}"));
+}
+
+/// Bit-exact oracle for the fused convolution kernels: the virtual-im2col
+/// packers (stride-1 runs and the generic gather), the short-M and
+/// row-tile GEMM schedules and the run-wise col2im must reproduce the
+/// materialized-im2col matmuls and the defining scatter to the bit. The
+/// widths make runs cross panel, row and image edges (including `ow <
+/// NR`), and M spans both schedules. A decoder-sized layer closes each
+/// thread setting: it is the one large enough for the short-M schedule to
+/// split its column panels across two workers.
+#[test]
+fn fused_conv_kernels_match_materialized_im2col_bitwise() {
+    use leca_tensor::parallel::refresh_num_threads;
+    use rand::SeedableRng;
+
+    let old = std::env::var("LECA_THREADS").ok();
+    for threads in ["1", "2"] {
+        std::env::set_var("LECA_THREADS", threads);
+        refresh_num_threads();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4321);
+        for stride in [1usize, 2] {
+            for pad in [0usize, 1, 2] {
+                for k in [1usize, 3] {
+                    for w in [5usize, 6, 12, 13, 24] {
+                        for m in [1usize, 3, 8, 16, 17, 33] {
+                            let tag = format!("threads={threads} s{stride} p{pad} k{k} w{w} m{m}");
+                            check_fused_conv_case(&mut rng, (2, 3, 4, w), m, k, stride, pad, &tag);
+                        }
+                    }
+                }
+            }
+        }
+        let tag = format!("threads={threads} decoder layer");
+        check_fused_conv_case(&mut rng, (4, 16, 24, 24), 16, 3, 1, 1, &tag);
+    }
+    match old {
+        Some(v) => std::env::set_var("LECA_THREADS", v),
+        None => std::env::remove_var("LECA_THREADS"),
+    }
+    refresh_num_threads();
 }
