@@ -97,47 +97,49 @@ pub fn write_pgm<P: AsRef<Path>>(path: P, gray: &Tensor) -> Result<(), ImageIoEr
     Ok(())
 }
 
-fn parse_header(data: &[u8], magic: &str) -> Result<(usize, usize, usize), ImageIoError> {
-    let text: Vec<u8> = data.iter().take(64).copied().collect();
-    let header = String::from_utf8_lossy(&text);
-    let mut fields = header.split_ascii_whitespace();
-    let m = fields.next().unwrap_or("");
-    if m != magic {
-        return Err(ImageIoError::Format(format!("expected {magic}, got {m}")));
+/// The next whitespace-delimited header token at or after `*pos`, leaving
+/// `*pos` on the byte just past it (empty at end of input).
+fn next_token<'a>(data: &'a [u8], pos: &mut usize) -> &'a [u8] {
+    while data.get(*pos).is_some_and(u8::is_ascii_whitespace) {
+        *pos += 1;
     }
-    let w: usize = fields
-        .next()
+    let start = *pos;
+    while data.get(*pos).is_some_and(|b| !b.is_ascii_whitespace()) {
+        *pos += 1;
+    }
+    &data[start..*pos]
+}
+
+fn header_number(data: &[u8], pos: &mut usize, what: &str) -> Result<usize, ImageIoError> {
+    std::str::from_utf8(next_token(data, pos))
+        .ok()
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ImageIoError::Format("missing width".into()))?;
-    let h: usize = fields
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ImageIoError::Format("missing height".into()))?;
-    let maxv: usize = fields
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ImageIoError::Format("missing maxval".into()))?;
+        .ok_or_else(|| ImageIoError::Format(format!("missing {what}")))
+}
+
+/// Parses `magic width height maxval` plus the single whitespace byte that
+/// ends the header, returning `(width, height, offset of the pixel data)`.
+fn parse_header(data: &[u8], magic: &str) -> Result<(usize, usize, usize), ImageIoError> {
+    let mut pos = 0;
+    let m = next_token(data, &mut pos);
+    if m != magic.as_bytes() {
+        return Err(ImageIoError::Format(format!(
+            "expected {magic}, got {}",
+            String::from_utf8_lossy(m)
+        )));
+    }
+    let w = header_number(data, &mut pos, "width")?;
+    let h = header_number(data, &mut pos, "height")?;
+    let maxv = header_number(data, &mut pos, "maxval")?;
     if maxv != 255 {
         return Err(ImageIoError::Format(format!("unsupported maxval {maxv}")));
     }
-    // Data starts after the fourth whitespace-delimited token + 1 byte.
-    let mut seen = 0;
-    let mut pos = 0;
-    let mut in_token = false;
-    for (i, &b) in data.iter().enumerate() {
-        let ws = b.is_ascii_whitespace();
-        if !ws && !in_token {
-            in_token = true;
-        } else if ws && in_token {
-            in_token = false;
-            seen += 1;
-            if seen == 4 {
-                pos = i + 1;
-                break;
-            }
-        }
+    if !data.get(pos).is_some_and(u8::is_ascii_whitespace) {
+        return Err(ImageIoError::Format(
+            "missing separator after maxval".into(),
+        ));
     }
-    Ok((w, h, pos))
+    Ok((w, h, pos + 1))
 }
 
 /// Reads a binary PPM (P6) file into a `(3, H, W)` tensor in `[0, 1]`.
@@ -150,9 +152,11 @@ pub fn read_ppm<P: AsRef<Path>>(path: P) -> Result<Tensor, ImageIoError> {
     let mut data = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut data)?;
     let (w, h, pos) = parse_header(&data, "P6")?;
-    let need = 3 * w * h;
-    if data.len() < pos + need {
-        return Err(ImageIoError::Format("truncated pixel data".into()));
+    // Checked before allocating: a hostile header must not size the
+    // tensor, only the bytes actually present can.
+    match w.checked_mul(h).and_then(|px| px.checked_mul(3)) {
+        Some(need) if need <= data.len() - pos => {}
+        _ => return Err(ImageIoError::Format("truncated pixel data".into())),
     }
     let mut t = Tensor::zeros(&[3, h, w]);
     let dst = t.as_mut_slice();
@@ -228,6 +232,38 @@ mod tests {
         let p = tmp("trunc.ppm");
         std::fs::write(&p, b"P6\n4 4\n255\nxx").unwrap();
         assert!(read_ppm(&p).is_err());
+    }
+
+    #[test]
+    fn read_is_total_on_hostile_headers_and_truncations() {
+        let valid = b"P6\n2 1\n255\nabcdef".to_vec();
+        let mut cases: Vec<Vec<u8>> = vec![
+            // No separator after maxval: the header must not be read as
+            // pixel data.
+            b"P6 1 1 255".to_vec(),
+            // `w * h` and `3 * w * h` overflow usize.
+            b"P6\n4611686018427387904 4\n255\n".to_vec(),
+            b"P6\n6148914691236517206 1\n255\n".to_vec(),
+            // Plausible but absent pixel data must not be allocated.
+            b"P6\n1000000000 1000000000\n255\n".to_vec(),
+            b"P6\n2 1\n65535\nabcdef".to_vec(),
+            b"P6\n-2 1\n255\nabcdef".to_vec(),
+            b"P6\xff 1 1 255\nabc".to_vec(),
+        ];
+        cases.extend((0..valid.len()).map(|n| valid[..n].to_vec()));
+        for (i, bytes) in cases.iter().enumerate() {
+            let p = tmp(&format!("hostile_{i}.ppm"));
+            std::fs::write(&p, bytes).unwrap();
+            let got = std::panic::catch_unwind(|| read_ppm(&p).map(|t| t.shape().to_vec()));
+            assert!(
+                matches!(got, Ok(Err(ImageIoError::Format(_)))),
+                "{:?} must be a format error, got {got:?}",
+                String::from_utf8_lossy(bytes)
+            );
+        }
+        let p = tmp("hostile_valid.ppm");
+        std::fs::write(&p, &valid).unwrap();
+        assert_eq!(read_ppm(&p).unwrap().shape(), &[3, 1, 2]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Cache-blocked, register-tiled GEMM core.
+//! Packed, register-tiled GEMM core.
 //!
 //! Every matmul variant ([`super::matmul`], [`super::matmul_bt`],
 //! [`super::matmul_at`]) and the fused-im2col convolution kernels in
@@ -18,37 +18,29 @@
 //! * The microkernel keeps an `MR x NR` accumulator block in registers and
 //!   performs one rank-1 update per k step.
 //!
-//! Two schedules drive the microkernel:
+//! Two schedules drive the microkernel, chosen by the row count `m`
+//! alone:
 //!
-//! * **Short M** (`m <= SHORT_M`, unbounded blocking): all A tiles are
-//!   packed once; then for each B panel, one small panel buffer is packed
-//!   over the full `k` and every A tile runs on it while it sits in L1.
-//!   The full packed B is never materialized. Threads split the *columns*
-//!   into disjoint panel ranges. Conv layers and weight gradients with few
-//!   output channels run here.
-//! * **Row tiles** (taller `m`, or an explicit blocking): the loop
-//!   partitioning — rows per worker (`mc`), reduction steps per packed
-//!   slab (`kc`), columns per packed pass (`nc`) — comes from
-//!   [`GemmBlocking`]. The static default packs all of B once per call and
-//!   walks the full reduction per row tile; the opt-in autotuner
-//!   ([`crate::backend::autotune`]) may select cache-fitting chunks per
-//!   machine. Threads split the output rows.
+//! * **Short M** (`m <= SHORT_M`): all A tiles are packed once; then for
+//!   each B panel, one small panel buffer is packed over the full `k` and
+//!   every A tile runs on it while it sits in L1. The full packed B is
+//!   never materialized. Threads split the *columns* into disjoint panel
+//!   ranges. Conv layers and weight gradients with few output channels run
+//!   here.
+//! * **Row tiles** (taller `m`): all of B is packed once per call, then
+//!   threads split the output rows into chunks of at least `MC` rows and
+//!   walk the full reduction per [`MR`]-row tile.
 //!
 //! # Reduction order is load-bearing
 //!
 //! Each output element is accumulated in a **single chain over strictly
-//! increasing `k`** — there is no split-k reassociation and no `mul_add`
-//! (FMA rounds differently). When `kc` blocks the reduction, the partial
-//! accumulator tile is parked in `out` between chunks and reloaded (the
-//! microkernel loads and stores `acc`), so the per-element operation chain
-//! is *identical* to the unblocked walk. Threads only ever divide the
-//! output into disjoint row or column-panel ranges. Both schedules feed
-//! each element the same packed values through the same chain, so results
-//! are bit-exact across schedules, `LECA_THREADS` settings and
-//! blocking-parameter changes, which is what the determinism test suite
-//! pins down.
+//! increasing `k`**, starting from zero — there is no split-k
+//! reassociation and no `mul_add` (FMA rounds differently). Threads only
+//! ever divide the output into disjoint row or column-panel ranges. Both
+//! schedules feed each element the same packed values through the same
+//! chain, so results are bit-exact across schedules and `LECA_THREADS`
+//! settings, which is what the determinism test suite pins down.
 
-use crate::backend::autotune::{self, GemmBlocking};
 use crate::backend::{self, KernelBackend, MR, NR};
 use crate::parallel::{par_col_panels_mut, par_rows_mut};
 use std::cell::RefCell;
@@ -59,6 +51,9 @@ use std::cell::RefCell;
 /// gradients. Taller GEMMs (`conv2d_grad_input`'s `m = C*kh*kw`) keep the
 /// row-tile schedule: walking every panel down many rows thrashes the TLB.
 const SHORT_M: usize = 4 * MR;
+
+/// Minimum output rows per parallel worker chunk of the row-tile schedule.
+const MC: usize = 32;
 
 /// Minimum microkernel k-steps per parallel chunk of the short-M schedule.
 const SHORT_M_CHUNK_STEPS: usize = 1 << 14;
@@ -182,20 +177,20 @@ struct Run {
     ox0: usize,
 }
 
-/// Packs columns `j0 .. j0+jn` and reduction rows `p0 .. p0+kk` of operand
-/// `b` (logical shape `k x n`) into `dst[p * NR + jj]`, overwriting every
-/// slot of `dst[..kk * NR]`: columns past `jn` are written as zero, so
-/// callers never pre-zero the scratch.
+/// Packs columns `j0 .. j0+jn` and all `k` reduction rows of operand `b`
+/// (logical shape `k x n`) into `dst[p * NR + jj]`, overwriting every slot
+/// of `dst[..k * NR]`: columns past `jn` are written as zero, so callers
+/// never pre-zero the scratch.
 ///
 /// The stride-1 im2col operands (the 3x3 "same" convs of the decoder and
 /// the backbones) take the run packers, which move whole input-row
 /// segments; other strides keep the defining per-element gather. Both
 /// produce identical values — packing is pure data movement.
-fn pack_b_panel(b: &Operand, j0: usize, jn: usize, p0: usize, kk: usize, dst: &mut [f32]) {
+fn pack_b_panel(b: &Operand, j0: usize, jn: usize, k: usize, dst: &mut [f32]) {
     match b {
         Operand::Strided { data, rs, cs } => {
-            for (p, row) in dst[..kk * NR].chunks_exact_mut(NR).enumerate() {
-                let src = (p0 + p) * rs + j0 * cs;
+            for (p, row) in dst[..k * NR].chunks_exact_mut(NR).enumerate() {
+                let src = p * rs + j0 * cs;
                 let (d, tail) = row.split_at_mut(jn);
                 if *cs == 1 {
                     d.copy_from_slice(&data[src..src + jn]);
@@ -207,11 +202,10 @@ fn pack_b_panel(b: &Operand, j0: usize, jn: usize, p0: usize, kk: usize, dst: &m
                 tail.fill(0.0);
             }
         }
-        Operand::Im2col(v) if v.stride == 1 => pack_im2col_runs(v, j0, jn, p0, kk, dst),
+        Operand::Im2col(v) if v.stride == 1 => pack_im2col_runs(v, j0, jn, k, dst),
         Operand::Im2col(v) => {
-            // Rows iterate (ci, ky, kx) starting from reduction offset
-            // `p0`; the panel's columns are fixed output positions
-            // (img, oy, ox), precomputed once.
+            // Rows iterate (ci, ky, kx); the panel's columns are fixed
+            // output positions (img, oy, ox), precomputed once.
             let mut cols = [(0usize, 0usize, 0usize); NR];
             for (jj, slot) in cols.iter_mut().take(jn).enumerate() {
                 let col = j0 + jj;
@@ -219,10 +213,8 @@ fn pack_b_panel(b: &Operand, j0: usize, jn: usize, p0: usize, kk: usize, dst: &m
                 let rem = col % (v.oh * v.ow);
                 *slot = (img, (rem / v.ow) * v.stride, (rem % v.ow) * v.stride);
             }
-            let mut ci = p0 / (v.kh * v.kw);
-            let rem = p0 % (v.kh * v.kw);
-            let (mut ky, mut kx) = (rem / v.kw, rem % v.kw);
-            for row in dst[..kk * NR].chunks_exact_mut(NR) {
+            let (mut ci, mut ky, mut kx) = (0usize, 0usize, 0usize);
+            for row in dst[..k * NR].chunks_exact_mut(NR) {
                 let (d, tail) = row.split_at_mut(jn);
                 if v.pad == 0 {
                     // Padding branch hoisted: zero-pad geometry can never
@@ -249,20 +241,17 @@ fn pack_b_panel(b: &Operand, j0: usize, jn: usize, p0: usize, kk: usize, dst: &m
                 }
             }
         }
-        Operand::Im2colT(v) if v.stride == 1 => pack_im2col_t_runs(v, j0, jn, p0, kk, dst),
+        Operand::Im2colT(v) if v.stride == 1 => pack_im2col_t_runs(v, j0, jn, k, dst),
         Operand::Im2colT(v) => {
-            // Rows iterate output positions (img, oy, ox) starting from
-            // reduction offset `p0`; columns are fixed kernel taps
-            // (ci, ky, kx), precomputed once.
+            // Rows iterate output positions (img, oy, ox); columns are
+            // fixed kernel taps (ci, ky, kx), precomputed once.
             let mut taps = [(0usize, 0usize, 0usize); NR];
             for (jj, slot) in taps.iter_mut().take(jn).enumerate() {
                 let r = j0 + jj;
                 *slot = (r / (v.kh * v.kw), (r / v.kw) % v.kh, r % v.kw);
             }
-            let mut img = p0 / (v.oh * v.ow);
-            let rem = p0 % (v.oh * v.ow);
-            let (mut oy, mut ox) = (rem / v.ow, rem % v.ow);
-            for row in dst[..kk * NR].chunks_exact_mut(NR) {
+            let (mut img, mut oy, mut ox) = (0usize, 0usize, 0usize);
+            for row in dst[..k * NR].chunks_exact_mut(NR) {
                 let (ybase, xbase) = (oy * v.stride, ox * v.stride);
                 let (d, tail) = row.split_at_mut(jn);
                 if v.pad == 0 {
@@ -298,7 +287,7 @@ fn pack_b_panel(b: &Operand, j0: usize, jn: usize, p0: usize, kk: usize, dst: &m
 /// then lands as one bounded copy (a fixed [`NR`]-wide one for a
 /// whole-panel interior run), with zero-fill only at padded edges
 /// ([`valid_run`]).
-fn pack_im2col_runs(v: &Im2colView, j0: usize, jn: usize, p0: usize, kk: usize, dst: &mut [f32]) {
+fn pack_im2col_runs(v: &Im2colView, j0: usize, jn: usize, k: usize, dst: &mut [f32]) {
     debug_assert_eq!(v.stride, 1);
     let (opix, plane) = (v.oh * v.ow, v.h * v.w);
     let mut runs = [Run::default(); NR];
@@ -319,13 +308,10 @@ fn pack_im2col_runs(v: &Im2colView, j0: usize, jn: usize, p0: usize, kk: usize, 
         jj += len;
     }
     let runs = &runs[..nruns];
-    let mut ci = p0 / (v.kh * v.kw);
-    let rem = p0 % (v.kh * v.kw);
-    let (mut ky, mut kx0) = (rem / v.kw, rem % v.kw);
-    let mut p = 0usize;
-    while p < kk {
-        // One (ci, ky) group: reduction rows kx0 .. kx0 + nkx.
-        let nkx = (v.kw - kx0).min(kk - p);
+    let (mut ci, mut ky, mut p) = (0usize, 0usize, 0usize);
+    while p < k {
+        // One (ci, ky) group: reduction rows p .. p + kw.
+        let nkx = v.kw.min(k - p);
         let rows = &mut dst[p * NR..(p + nkx) * NR];
         for r in runs {
             let iy = match (r.oy + ky).checked_sub(v.pad) {
@@ -340,7 +326,7 @@ fn pack_im2col_runs(v: &Im2colView, j0: usize, jn: usize, p0: usize, kk: usize, 
             let src_row = &v.data[(r.img * v.c + ci) * plane + iy * v.w..][..v.w];
             for (t, row) in rows.chunks_exact_mut(NR).enumerate() {
                 let seg = &mut row[r.jj0..r.jj0 + r.len];
-                let sx = (r.ox0 + kx0 + t) as isize - v.pad as isize;
+                let sx = (r.ox0 + t) as isize - v.pad as isize;
                 if sx >= 0 && sx as usize + r.len <= v.w {
                     let src = &src_row[sx as usize..sx as usize + r.len];
                     match (
@@ -367,7 +353,6 @@ fn pack_im2col_runs(v: &Im2colView, j0: usize, jn: usize, p0: usize, kk: usize, 
             }
         }
         p += nkx;
-        kx0 = 0;
         ky += 1;
         if ky == v.kh {
             ky = 0;
@@ -381,7 +366,7 @@ fn pack_im2col_runs(v: &Im2colView, j0: usize, jn: usize, p0: usize, kk: usize, 
 /// segment tap-major: each of the panel's kernel taps `(ci, ky, kx)` reads
 /// one contiguous input-row segment (resolved by [`valid_run`]) into its
 /// packed column, with zero-fill only at padded edges.
-fn pack_im2col_t_runs(v: &Im2colView, j0: usize, jn: usize, p0: usize, kk: usize, dst: &mut [f32]) {
+fn pack_im2col_t_runs(v: &Im2colView, j0: usize, jn: usize, k: usize, dst: &mut [f32]) {
     debug_assert_eq!(v.stride, 1);
     let mut taps = [(0usize, 0usize, 0usize); NR];
     for (jj, slot) in taps.iter_mut().take(jn).enumerate() {
@@ -389,18 +374,15 @@ fn pack_im2col_t_runs(v: &Im2colView, j0: usize, jn: usize, p0: usize, kk: usize
         *slot = (r / (v.kh * v.kw), (r / v.kw) % v.kh, r % v.kw);
     }
     let taps = &taps[..jn];
-    let opix = v.oh * v.ow;
-    let mut img = p0 / opix;
-    let rem = p0 % opix;
-    let (mut oy, mut ox) = (rem / v.ow, rem % v.ow);
-    let mut p = 0usize;
-    while p < kk {
-        let len = (v.ow - ox).min(kk - p);
+    let (mut img, mut oy, mut p) = (0usize, 0usize, 0usize);
+    while p < k {
+        // One output-row segment: reduction rows p .. p + ow.
+        let len = v.ow.min(k - p);
         let rows = &mut dst[p * NR..(p + len) * NR];
         for (jj, &(ci, ky, kx)) in taps.iter().enumerate() {
             match (oy + ky).checked_sub(v.pad) {
                 Some(iy) if iy < v.h => {
-                    let sx = (ox + kx) as isize - v.pad as isize;
+                    let sx = kx as isize - v.pad as isize;
                     let (lo, hi) = valid_run(sx, 1, v.w, len);
                     for d in rows[..lo * NR].chunks_exact_mut(NR) {
                         d[jj] = 0.0;
@@ -429,48 +411,34 @@ fn pack_im2col_t_runs(v: &Im2colView, j0: usize, jn: usize, p0: usize, kk: usize
             }
         }
         p += len;
-        ox += len;
-        if ox == v.ow {
-            ox = 0;
-            oy += 1;
-            if oy == v.oh {
-                oy = 0;
-                img += 1;
-            }
+        oy += 1;
+        if oy == v.oh {
+            oy = 0;
+            img += 1;
         }
     }
 }
 
-/// Packs rows `i0 .. i0+im`, reduction columns `p0 .. p0+kk`, of the
-/// strided A operand into `ap[p * MR + i]`, zero-filling the `im..MR`
-/// padding rows.
+/// Packs rows `i0 .. i0+im` and all `k` reduction columns of the strided
+/// A operand into `ap[p * MR + i]`, zero-filling the `im..MR` padding
+/// rows.
 ///
 /// The edge-tile padding branch is hoisted out of the per-element loop:
 /// each column is a `0..im` copy body plus an explicit `im..MR` zero-fill
 /// tail. With `rs == 1` (a transposed-A view, where rows are contiguous)
 /// the body collapses to a `copy_from_slice`.
-#[allow(clippy::too_many_arguments)] // flat (strides, tile bounds) signature keeps the driver loop allocation-free
-fn pack_a_tile(
-    data: &[f32],
-    rs: usize,
-    cs: usize,
-    i0: usize,
-    im: usize,
-    p0: usize,
-    kk: usize,
-    ap: &mut [f32],
-) {
+fn pack_a_tile(data: &[f32], rs: usize, cs: usize, i0: usize, im: usize, k: usize, ap: &mut [f32]) {
     if rs == 1 {
-        for p in 0..kk {
-            let src = i0 + (p0 + p) * cs;
+        for p in 0..k {
+            let src = i0 + p * cs;
             let d = &mut ap[p * MR..(p + 1) * MR];
             let (body, tail) = d.split_at_mut(im);
             body.copy_from_slice(&data[src..src + im]);
             tail.fill(0.0);
         }
     } else {
-        for p in 0..kk {
-            let col = (p0 + p) * cs;
+        for p in 0..k {
+            let col = p * cs;
             let d = &mut ap[p * MR..(p + 1) * MR];
             let (body, tail) = d.split_at_mut(im);
             for (i, v) in body.iter_mut().enumerate() {
@@ -496,98 +464,6 @@ pub(crate) fn gemm(
     b: &Operand,
     out: &mut [f32],
 ) {
-    // The autotuner tunes the plain strided family and the fused-im2col
-    // (conv) family separately: their traversal cost models differ (the
-    // im2col packer re-gathers B per `kc` slab, so a conv-optimal `kc`
-    // can be pessimal for a plain matmul and vice versa).
-    let blk = match b {
-        Operand::Strided { .. } => autotune::blocking(),
-        Operand::Im2col(_) | Operand::Im2colT(_) => autotune::conv_blocking(),
-    };
-    gemm_with_blocking(m, n, k, a_data, a_rs, a_cs, b, out, blk);
-}
-
-/// Conv-shaped timing entry for the autotuner: one `(o, c·kh·kw) x
-/// (c·kh·kw, n·oh·ow)` multiply against a fused-im2col operand — the exact
-/// shape family `conv2d_into` runs — under an explicit blocking.
-#[allow(clippy::too_many_arguments)] // flat conv geometry mirrors conv2d_into
-pub(crate) fn gemm_im2col_with_blocking(
-    o: usize,
-    weight: &[f32],
-    x: &[f32],
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    out: &mut [f32],
-    blk: GemmBlocking,
-) {
-    let oh = (h + 2 * pad - kh) / stride + 1;
-    let ow = (w + 2 * pad - kw) / stride + 1;
-    let view = Im2colView {
-        data: x,
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        stride,
-        pad,
-        oh,
-        ow,
-    };
-    let kdim = c * kh * kw;
-    let cols = n * oh * ow;
-    gemm_with_blocking(
-        o,
-        cols,
-        kdim,
-        weight,
-        kdim,
-        1,
-        &Operand::Im2col(view),
-        out,
-        blk,
-    );
-}
-
-/// Row-major convenience wrapper over [`gemm_with_blocking`] for a plain
-/// `(m, k) x (k, n)` multiply — the autotuner's timing entry point.
-pub(crate) fn gemm_strided_with_blocking(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    blk: GemmBlocking,
-) {
-    let bop = Operand::Strided {
-        data: b,
-        rs: n,
-        cs: 1,
-    };
-    gemm_with_blocking(m, n, k, a, k, 1, &bop, out, blk);
-}
-
-/// [`gemm`] under an explicit [`GemmBlocking`]. Blocking never changes
-/// numerics (see module docs), only the packing/traversal schedule.
-#[allow(clippy::too_many_arguments)] // flat (dims, strides) signature keeps call sites allocation-free
-fn gemm_with_blocking(
-    m: usize,
-    n: usize,
-    k: usize,
-    a_data: &[f32],
-    a_rs: usize,
-    a_cs: usize,
-    b: &Operand,
-    out: &mut [f32],
-    blk: GemmBlocking,
-) {
     assert_eq!(out.len(), m * n, "gemm output buffer mismatch");
     if m == 0 || n == 0 {
         return;
@@ -596,121 +472,84 @@ fn gemm_with_blocking(
     // into the microkernel loop (all registered backends are bit-identical
     // — see `crate::backend`).
     let be = backend::active();
-    if m <= SHORT_M && blk.kc == usize::MAX && blk.nc == usize::MAX {
+    if m <= SHORT_M {
         gemm_short_m(m, n, k, a_data, a_rs, a_cs, b, out, be);
         return;
     }
 
-    // Normalize the blocking: `nc` to a whole number of NR panels, `kc`
-    // nonzero, `mc` nonzero. `usize::MAX` means unbounded (single chunk).
-    let nc = if blk.nc == usize::MAX {
-        usize::MAX
-    } else {
-        (blk.nc.max(NR) / NR) * NR
-    };
-    let kc = blk.kc.max(1);
-    let mc = blk.mc.max(1);
-    // At least one reduction chunk even when k == 0, so a degenerate GEMM
-    // still writes (zeros) every output element.
-    let kchunks = k.div_ceil(kc).max(1);
-
+    // Row tiles: pack all of B once into the thread-local scratch; the
+    // panel packer overwrites every slot of its panel, edge-panel padding
+    // included.
+    let npanels = n.div_ceil(NR);
     B_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
-        let mut jc = 0usize;
-        while jc < n {
-            let ncb = nc.min(n - jc);
-            let npanels = ncb.div_ceil(NR);
-            for ci in 0..kchunks {
-                let pc = ci * kc;
-                let kcb = kc.min(k - pc);
-                // First reduction chunk overwrites `out`; later chunks
-                // reload the parked partials and continue the chain.
-                let first = ci == 0;
-
-                // Pack this (jc, pc) slab of B into the thread-local
-                // scratch; the panel packer overwrites every slot of its
-                // panel, edge-panel padding included.
-                let packed_b = scratch_prefix(&mut scratch, npanels * kcb * NR);
-                if kcb > 0 {
-                    par_rows_mut(packed_b, npanels, kcb * NR, 1, |range, chunk| {
-                        for (local, jp) in range.enumerate() {
-                            let j0 = jc + jp * NR;
-                            pack_b_panel(
-                                b,
-                                j0,
-                                NR.min(jc + ncb - j0),
-                                pc,
-                                kcb,
-                                &mut chunk[local * kcb * NR..(local + 1) * kcb * NR],
-                            );
-                        }
-                    });
+        let packed_b = scratch_prefix(&mut scratch, npanels * k * NR);
+        if k > 0 {
+            par_rows_mut(packed_b, npanels, k * NR, 1, |range, chunk| {
+                for (local, jp) in range.enumerate() {
+                    let j0 = jp * NR;
+                    pack_b_panel(
+                        b,
+                        j0,
+                        NR.min(n - j0),
+                        k,
+                        &mut chunk[local * k * NR..(local + 1) * k * NR],
+                    );
                 }
-
-                // Compute over disjoint output row ranges; each worker
-                // packs its own A tiles (per-thread scratch; pack_a_tile
-                // overwrites every element including the zero padding, so
-                // no re-zeroing is needed). Tile edges only change *which*
-                // worker computes an element, never its reduction order,
-                // so any split is bit-identical.
-                let packed_b = &*packed_b;
-                par_rows_mut(out, m, n, mc, |rows, chunk| {
-                    A_SCRATCH.with(|apc| {
-                        let mut scratch = apc.borrow_mut();
-                        let ap = scratch_prefix(&mut scratch, kcb * MR);
-                        let (r0, r1) = (rows.start, rows.end);
-                        let mut i0 = r0;
-                        while i0 < r1 {
-                            let im = MR.min(r1 - i0);
-                            pack_a_tile(a_data, a_rs, a_cs, i0, im, pc, kcb, ap);
-                            for jp in 0..npanels {
-                                let j0 = jc + jp * NR;
-                                let jn = NR.min(jc + ncb - j0);
-                                let mut acc = [[0.0f32; NR]; MR];
-                                if !first {
-                                    // Resume the per-element accumulation
-                                    // chains parked in `out` by the
-                                    // previous reduction chunk.
-                                    for (i, arow) in acc.iter_mut().enumerate().take(im) {
-                                        let row = (i0 - r0 + i) * n + j0;
-                                        arow[..jn].copy_from_slice(&chunk[row..row + jn]);
-                                    }
-                                }
-                                backend::microkernel_with(
-                                    be,
-                                    kcb,
-                                    ap,
-                                    &packed_b[jp * kcb * NR..(jp + 1) * kcb * NR],
-                                    &mut acc,
-                                );
-                                for (i, arow) in acc.iter().enumerate().take(im) {
-                                    let row = (i0 - r0 + i) * n + j0;
-                                    chunk[row..row + jn].copy_from_slice(&arow[..jn]);
-                                }
-                            }
-                            i0 += im;
-                        }
-                    });
-                });
-            }
-            jc = jc.saturating_add(ncb.max(1));
+            });
         }
+
+        // Compute over disjoint output row ranges; each worker packs its
+        // own A tiles (per-thread scratch; pack_a_tile overwrites every
+        // element including the zero padding, so no re-zeroing is needed).
+        // Tile edges only change *which* worker computes an element, never
+        // its reduction order, so any split is bit-identical.
+        let packed_b = &*packed_b;
+        par_rows_mut(out, m, n, MC, |rows, chunk| {
+            A_SCRATCH.with(|apc| {
+                let mut scratch = apc.borrow_mut();
+                let ap = scratch_prefix(&mut scratch, k * MR);
+                let (r0, r1) = (rows.start, rows.end);
+                let mut i0 = r0;
+                while i0 < r1 {
+                    let im = MR.min(r1 - i0);
+                    pack_a_tile(a_data, a_rs, a_cs, i0, im, k, ap);
+                    for jp in 0..npanels {
+                        let j0 = jp * NR;
+                        let jn = NR.min(n - j0);
+                        let mut acc = [[0.0f32; NR]; MR];
+                        backend::microkernel_with(
+                            be,
+                            k,
+                            ap,
+                            &packed_b[jp * k * NR..(jp + 1) * k * NR],
+                            &mut acc,
+                        );
+                        for (i, arow) in acc.iter().enumerate().take(im) {
+                            let row = (i0 - r0 + i) * n + j0;
+                            chunk[row..row + jn].copy_from_slice(&arow[..jn]);
+                        }
+                    }
+                    i0 += im;
+                }
+            });
+        });
     });
 }
 
-/// The short-M schedule (`m <= SHORT_M`, unbounded blocking): every A tile
-/// is packed once up front, then each [`NR`]-column panel of B is packed
-/// over the full `k` into a small per-thread buffer and every A tile runs
-/// on it while it is still in L1. The full `k x n` packed B is never
+/// The short-M schedule (`m <= SHORT_M`): every A tile is packed once up
+/// front, then each [`NR`]-column panel of B is packed over the full `k`
+/// into a small per-thread buffer and every A tile runs on it while it is
+/// still in L1. The full `k x n` packed B is never
 /// materialized, so B costs one gather instead of a multi-megabyte write
 /// plus one re-read per row tile.
 ///
 /// Work is split over disjoint column-panel ranges (a row split would give
-/// at most `SHORT_M / mc` chunks). Each output element is still one
+/// at most one [`MC`]-row chunk). Each output element is still one
 /// microkernel chain over the whole reduction starting from zero — exactly
 /// what the row-tile walk computes — so the two schedules agree bit for
 /// bit.
-#[allow(clippy::too_many_arguments)] // mirrors gemm_with_blocking
+#[allow(clippy::too_many_arguments)] // mirrors gemm
 fn gemm_short_m(
     m: usize,
     n: usize,
@@ -733,7 +572,7 @@ fn gemm_short_m(
         for t in 0..tiles {
             let i0 = t * MR;
             let tile = &mut ap[t * tile_len..(t + 1) * tile_len];
-            pack_a_tile(a_data, a_rs, a_cs, i0, MR.min(m - i0), 0, k, tile);
+            pack_a_tile(a_data, a_rs, a_cs, i0, MR.min(m - i0), k, tile);
         }
         let ap = &*ap;
         par_col_panels_mut(out, m, n, NR, min_panels, |panels, cols| {
@@ -744,7 +583,7 @@ fn gemm_short_m(
                 for jp in panels {
                     let j0 = jp * NR;
                     let jn = NR.min(n - j0);
-                    pack_b_panel(b, j0, jn, 0, k, bp);
+                    pack_b_panel(b, j0, jn, k, bp);
                     for t in 0..tiles {
                         let mut acc = [[0.0f32; NR]; MR];
                         backend::microkernel_with(

@@ -12,9 +12,6 @@ mod qgemm;
 pub mod reduce;
 pub mod reference;
 
-pub(crate) use gemm::{gemm_im2col_with_blocking, gemm_strided_with_blocking};
-pub(crate) use qgemm::{qgemm_with_mc_tiles, QMC_TILES};
-
 pub use conv::{
     col2im, conv2d, conv2d_grad_input, conv2d_grad_weight, conv2d_into, conv_transpose2d,
     conv_transpose2d_grad_input, conv_transpose2d_grad_weight, conv_transpose2d_into, im2col,

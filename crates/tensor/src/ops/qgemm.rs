@@ -26,9 +26,10 @@ use crate::parallel::par_rows_mut;
 use std::cell::RefCell;
 
 /// Minimum output row-tiles handed to one pool worker (tiles of [`MR`]
-/// rows; matches the f32 core's `MC = 32` rows). The static default for
-/// the autotunable packing-block knob (`autotune::qgemm_mc_tiles`).
-pub(crate) const QMC_TILES: usize = 4;
+/// rows; matches the f32 core's 32-row worker chunk). Chunking only
+/// partitions whole output tiles and i32 accumulation is exact, so the
+/// value changes scheduling, never bytes.
+const QMC_TILES: usize = 4;
 
 thread_local! {
     /// Per-thread packed-B scratch (i16 pairs), reused across [`qgemm`]
@@ -391,23 +392,6 @@ fn pack_im2col_row_panel(v: &QIm2col, j0: usize, jn: usize, dst: &mut [i16]) {
 ///
 /// Panics when `acc` has the wrong size.
 pub fn qgemm(a: &PackedQMat, b: &QOperand, n: usize, acc: &mut [i32]) {
-    qgemm_with_mc_tiles(a, b, n, acc, crate::backend::autotune::qgemm_mc_tiles());
-}
-
-/// [`qgemm`] under an explicit worker-chunk granularity (`mc_tiles` MR-row
-/// tiles per parallel chunk; the historical constant is [`QMC_TILES`]).
-/// The autotuner's timing entry — and the proof that the knob is safe to
-/// tune: chunking only partitions *whole output tiles* across workers, and
-/// i32 accumulation is exact, so every granularity produces identical
-/// bytes.
-pub(crate) fn qgemm_with_mc_tiles(
-    a: &PackedQMat,
-    b: &QOperand,
-    n: usize,
-    acc: &mut [i32],
-    mc_tiles: usize,
-) {
-    let mc_tiles = mc_tiles.max(1);
     let tiles = a.tiles();
     assert_eq!(
         acc.len(),
@@ -452,7 +436,7 @@ pub(crate) fn qgemm_with_mc_tiles(
         // are already packed, so workers go straight to the microkernel.
         let be = backend::active();
         let packed_b = &*packed_b;
-        par_rows_mut(acc, tiles, MR * n, mc_tiles, |tile_range, chunk| {
+        par_rows_mut(acc, tiles, MR * n, QMC_TILES, |tile_range, chunk| {
             for (local, t) in tile_range.enumerate() {
                 let ap = &a.data[t * tile_len..(t + 1) * tile_len];
                 let crows = &mut chunk[local * MR * n..(local + 1) * MR * n];

@@ -3,7 +3,7 @@
 //! The training stack's hot loops (GEMM, im2col packing) are embarrassingly
 //! parallel over disjoint output tiles, but they are also *small*: a single
 //! conv layer's GEMM lasts tens of microseconds, so spawning OS threads per
-//! call (the old `crossbeam::scope` design) paid more for thread creation
+//! call (the old scoped-thread design) paid more for thread creation
 //! than for the math. The pool here is spawned once, lazily, and fed
 //! through a job queue; per-call overhead is one enqueue plus a condvar
 //! wait.

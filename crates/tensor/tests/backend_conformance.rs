@@ -12,18 +12,14 @@
 //! agreement. A backend added to the registry tomorrow is
 //! conformance-checked here with zero new test code.
 //!
-//! The suite also locks down the two registry-adjacent contracts:
-//!
-//! * `_into` twins produce bit-identical results to their allocating
-//!   counterparts under every selectable backend (env-pinned, serialized).
-//! * The autotuner honors a planted on-disk profile, survives exotic
-//!   (grid-impossible) blockings without perturbing a single output bit,
-//!   and discards a CRC-corrupted profile instead of trusting it.
+//! The suite also locks down the registry-adjacent contract that `_into`
+//! twins produce bit-identical results to their allocating counterparts
+//! under every selectable backend (env-pinned, serialized).
 
-use leca_tensor::backend::{self, autotune, scalar, KernelBackend, MR, NR};
+use leca_tensor::backend::{self, scalar, KernelBackend, MR, NR};
 use leca_tensor::ops::{
-    avg_pool2d, avg_pool2d_into, conv2d, matmul, matmul_into, max_pool2d, max_pool2d_into, qgemm,
-    softmax_rows, softmax_rows_into, PackedQMat, QOperand,
+    avg_pool2d, avg_pool2d_into, matmul, matmul_into, max_pool2d, max_pool2d_into, softmax_rows,
+    softmax_rows_into,
 };
 use leca_tensor::Tensor;
 use proptest::prelude::*;
@@ -31,8 +27,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
 
-/// Serializes tests that mutate process-global state (`LECA_BACKEND`,
-/// `LECA_AUTOTUNE*`, the cached blocking).
+/// Serializes tests that mutate process-global state (`LECA_BACKEND`).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Every registered backend that can serve the full CPU kernel surface on
@@ -706,228 +701,4 @@ fn into_twins_match_allocating_ops_on_every_backend() {
             );
         });
     }
-}
-
-// ---------------------------------------------------------------------
-// wgpu stub contract (compiled only under `--features wgpu`)
-// ---------------------------------------------------------------------
-
-#[cfg(feature = "wgpu")]
-#[test]
-fn wgpu_stub_registers_but_never_dispatches() {
-    let reg = backend::registered();
-    let wgpu = reg
-        .iter()
-        .copied()
-        .find(|be| be.name() == "wgpu")
-        .expect("wgpu backend must be registered under the feature");
-    assert!(
-        !backend::dispatchable(wgpu),
-        "the stub must not be dispatchable until it grows real kernels"
-    );
-    let mut acc = [[0.0f32; NR]; MR];
-    let err = wgpu.microkernel(0, &[], &[], &mut acc).unwrap_err();
-    assert_eq!(
-        err,
-        backend::BackendError::Unsupported {
-            backend: "wgpu",
-            kernel: "microkernel",
-        }
-    );
-    // And auto-selection must therefore never land on it.
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    pin_backend("auto", || assert_ne!(backend::active().name(), "wgpu"));
-    // Requesting it by name degrades to auto rather than erroring.
-    pin_backend("wgpu", || assert_ne!(backend::active().name(), "wgpu"));
-}
-
-// ---------------------------------------------------------------------
-// Autotuner integration
-// ---------------------------------------------------------------------
-
-/// Runs `body` with `LECA_AUTOTUNE=1` and the profile pinned to `path`,
-/// restoring both env vars and re-resolving the static blocking afterwards
-/// so no other test observes autotuned state. Callers hold `ENV_LOCK`.
-fn with_autotune<T>(path: &std::path::Path, body: impl FnOnce() -> T) -> T {
-    let old_flag = std::env::var("LECA_AUTOTUNE").ok();
-    let old_path = std::env::var("LECA_AUTOTUNE_PROFILE").ok();
-    std::env::set_var("LECA_AUTOTUNE", "1");
-    std::env::set_var("LECA_AUTOTUNE_PROFILE", path);
-    autotune::refresh_blocking();
-    let out = body();
-    let restore = |k: &str, v: Option<String>| match v {
-        Some(v) => std::env::set_var(k, v),
-        None => std::env::remove_var(k),
-    };
-    restore("LECA_AUTOTUNE", old_flag);
-    restore("LECA_AUTOTUNE_PROFILE", old_path);
-    let back = autotune::refresh_blocking();
-    assert_eq!(
-        back,
-        autotune::GemmBlocking::STATIC,
-        "restore must be static"
-    );
-    out
-}
-
-/// A blocking the tuner grid can never produce (mc=24 / kc=192 / nc=1536
-/// are not candidates), so observing it proves the on-disk profile — not a
-/// fresh tuning run — decided.
-const EXOTIC: autotune::GemmBlocking = autotune::GemmBlocking {
-    mc: 24,
-    kc: 192,
-    nc: 1536,
-};
-
-/// Full v2 profile built around [`EXOTIC`]: the conv blocking and qgemm
-/// chunk granularity are likewise off-grid / non-default so each family's
-/// plant is independently observable.
-const EXOTIC_PROFILE: autotune::TunedProfile = autotune::TunedProfile {
-    gemm: EXOTIC,
-    conv: autotune::GemmBlocking {
-        mc: 40,
-        kc: 96,
-        nc: 768,
-    },
-    qgemm_mc_tiles: 2,
-};
-
-#[test]
-fn autotune_off_means_static() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let old = std::env::var("LECA_AUTOTUNE").ok();
-    std::env::remove_var("LECA_AUTOTUNE");
-    assert_eq!(autotune::refresh_blocking(), autotune::GemmBlocking::STATIC);
-    // Explicit falsy spellings too.
-    std::env::set_var("LECA_AUTOTUNE", "0");
-    assert_eq!(autotune::refresh_blocking(), autotune::GemmBlocking::STATIC);
-    match old {
-        Some(v) => std::env::set_var("LECA_AUTOTUNE", v),
-        None => std::env::remove_var("LECA_AUTOTUNE"),
-    }
-    autotune::refresh_blocking();
-}
-
-/// A planted profile is honored verbatim across all three tuned families
-/// — and running the real GEMM / conv / int8 qgemm under its exotic
-/// schedules changes not one output bit vs the static path (the
-/// load-accumulate-store continuation argument, end to end).
-#[test]
-fn planted_profile_is_honored_and_blocking_is_bit_invariant() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let path = std::env::temp_dir().join(format!(
-        "leca-conformance-plant-{}.profile",
-        std::process::id()
-    ));
-
-    // Shapes that force multiple kc chunks (k > 192) and multiple nc
-    // passes (n > 1536) under EXOTIC, plus ragged tails everywhere.
-    let mut rng = StdRng::seed_from_u64(77);
-    let a = Tensor::rand_uniform(&[37, 259], -2.0, 2.0, &mut rng);
-    let b = Tensor::rand_uniform(&[259, 1603], -2.0, 2.0, &mut rng);
-    let want = matmul(&a, &b).unwrap();
-
-    // Conv workload straddling the exotic conv blocking's kc=96 (c*kh*kw =
-    // 14*3*3 = 126 > 96) and its nc=768 (n*oh*ow = 2*25*25 = 1250 > 768).
-    let x = Tensor::rand_uniform(&[2, 14, 25, 25], -2.0, 2.0, &mut rng);
-    let w = Tensor::rand_uniform(&[9, 14, 3, 3], -1.0, 1.0, &mut rng);
-    let conv_want = conv2d(&x, &w, None, 1, 1).unwrap();
-
-    // Int8 qgemm workload spanning several MR-row tiles so the planted
-    // chunk granularity (2 tiles vs the static 4) actually re-partitions.
-    use rand::Rng;
-    let (qm, qk, qn) = (37usize, 29usize, 41usize);
-    let qw: Vec<i8> = (0..qm * qk).map(|_| rng.gen_range(-127i8..127)).collect();
-    let scales = vec![0.37f32; qm];
-    let packed = PackedQMat::pack(&qw, qm, qk, &scales);
-    let rhs: Vec<i8> = (0..qk * qn).map(|_| rng.gen_range(-127i8..127)).collect();
-    let qop = QOperand::Strided {
-        data: &rhs,
-        rs: qn,
-        cs: 1,
-        zp: 3,
-    };
-    let mut qwant = vec![0i32; packed.tiles() * MR * qn];
-    qgemm(&packed, &qop, qn, &mut qwant);
-
-    autotune::write_profile(
-        &path,
-        &EXOTIC_PROFILE,
-        backend::active().name(),
-        backend::cpu_features(),
-    )
-    .expect("plant profile");
-    with_autotune(&path, || {
-        assert_eq!(
-            autotune::blocking(),
-            EXOTIC,
-            "a valid planted profile must be honored verbatim"
-        );
-        assert_eq!(
-            autotune::conv_blocking(),
-            EXOTIC_PROFILE.conv,
-            "the conv family must be honored independently"
-        );
-        assert_eq!(
-            autotune::qgemm_mc_tiles(),
-            EXOTIC_PROFILE.qgemm_mc_tiles,
-            "the qgemm chunk granularity must be honored"
-        );
-        let got = matmul(&a, &b).unwrap();
-        assert_bits(
-            "autotuned-vs-static matmul",
-            got.as_slice(),
-            want.as_slice(),
-        );
-        let conv_got = conv2d(&x, &w, None, 1, 1).unwrap();
-        assert_bits(
-            "autotuned-vs-static conv2d",
-            conv_got.as_slice(),
-            conv_want.as_slice(),
-        );
-        let mut qgot = vec![0i32; packed.tiles() * MR * qn];
-        qgemm(&packed, &qop, qn, &mut qgot);
-        assert_eq!(qgot, qwant, "autotuned-vs-static qgemm (exact i32)");
-    });
-    let _ = std::fs::remove_file(&path);
-}
-
-/// Corrupting one payload byte must invalidate the profile: the tuner
-/// re-runs (never trusting the corrupt file) and rewrites a valid profile
-/// whose blocking comes from the real candidate grid.
-#[test]
-fn corrupt_profile_is_discarded_and_retuned() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let path = std::env::temp_dir().join(format!(
-        "leca-conformance-corrupt-{}.profile",
-        std::process::id()
-    ));
-    let be_name = backend::active().name();
-    let features = backend::cpu_features();
-    autotune::write_profile(&path, &EXOTIC_PROFILE, be_name, features).expect("plant profile");
-    // Flip one payload bit: the footer still parses, the CRC must not.
-    let mut bytes = std::fs::read(&path).expect("read profile");
-    bytes[13] ^= 0x40;
-    std::fs::write(&path, &bytes).expect("corrupt profile");
-    assert_eq!(
-        autotune::read_profile(&path, be_name, features),
-        None,
-        "CRC mismatch must invalidate"
-    );
-
-    with_autotune(&path, || {
-        let blk = autotune::blocking();
-        assert_ne!(blk, EXOTIC, "a corrupt profile must never be trusted");
-        // The winner is static or a grid candidate — all with mc >= 1.
-        assert!(blk.mc >= 1 && blk.kc >= 1 && blk.nc >= 1);
-        // And the tuner rewrote a *valid* profile for this machine, keyed
-        // to the live backend + CPU feature set, covering every family.
-        let fresh = autotune::read_profile(&path, backend::active().name(), features)
-            .expect("re-tuning must persist a fresh valid profile");
-        assert_eq!(fresh.gemm, blk);
-        assert_eq!(fresh.conv, autotune::conv_blocking());
-        assert_eq!(fresh.qgemm_mc_tiles, autotune::qgemm_mc_tiles());
-        assert!(fresh.qgemm_mc_tiles >= 1);
-    });
-    let _ = std::fs::remove_file(&path);
 }
