@@ -74,7 +74,7 @@ fn main() {
                 .unwrap_or_else(|| "         n/a".to_string())
         };
         println!(
-            "{:<22} scalar {} ns  avx2 {} ns  fastmath {} ns",
+            "{:<27} scalar {} ns  avx2 {} ns  fastmath {} ns",
             wl.name,
             fmt(s),
             fmt(v),

@@ -46,8 +46,9 @@ impl std::fmt::Debug for Workload {
     }
 }
 
-/// The canonical single-threaded kernel set: raw microkernel, GEMM, conv,
-/// int8 GEMM and row softmax, at the geometries the published tables use.
+/// The canonical single-threaded kernel set: raw microkernel, GEMM, convs
+/// (one generic, three at pipeline shapes), int8 GEMM and row softmax, at
+/// the geometries the published tables use.
 pub fn standard_kernels(seed: u64) -> Vec<Workload> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut set = Vec::new();
@@ -73,6 +74,26 @@ pub fn standard_kernels(seed: u64) -> Vec<Workload> {
     set.push(Workload::new("conv2d_8x16x32x32_3x3", 20, move || {
         std::hint::black_box(ops::conv2d(&x, &w, None, 1, 1).expect("conv"));
     }));
+
+    // The pipeline's own conv shapes, 3x3 "same", batch 32, written into
+    // a preallocated output as the inference workspace path does: the
+    // decoder's 16 -> 16 body conv and its 16 -> 3 output conv (short-M
+    // GEMMs at 48x48), and resnet_full's last 96 -> 96 conv (row tiles on
+    // a 6x6 grid, whose 36 pixels leave a partial column panel).
+    for (name, [c, side, o], bias) in [
+        ("conv2d_32x16x48x48_to16_3x3", [16, 48, 16], false),
+        ("conv2d_32x16x48x48_to3_3x3", [16, 48, 3], true),
+        ("conv2d_32x96x6x6_to96_3x3", [96, 6, 96], false),
+    ] {
+        let x = Tensor::rand_uniform(&[32, c, side, side], -1.0, 1.0, &mut rng);
+        let w = Tensor::rand_uniform(&[o, c, 3, 3], -1.0, 1.0, &mut rng);
+        let b = bias.then(|| Tensor::rand_uniform(&[o], -1.0, 1.0, &mut rng));
+        let mut out = Tensor::zeros(&[32, o, side, side]);
+        set.push(Workload::new(name, 10, move || {
+            ops::conv2d_into(&x, &w, b.as_ref(), 1, 1, &mut out).expect("conv");
+            std::hint::black_box(&mut out);
+        }));
+    }
 
     // Int8 GEMM at the same geometry as the f32 matmul row: prepacked
     // weights, strided i8 activations, i32 accumulators.
@@ -118,6 +139,9 @@ mod tests {
                 "microkernel_k256",
                 "matmul_64x144x4096",
                 "conv2d_8x16x32x32_3x3",
+                "conv2d_32x16x48x48_to16_3x3",
+                "conv2d_32x16x48x48_to3_3x3",
+                "conv2d_32x96x6x6_to96_3x3",
                 "qgemm_64x144x4096",
                 "softmax_rows_256x1000",
             ]

@@ -8,8 +8,7 @@
 //! * `conv_transpose2d` weights: `(C_in, O, kh, kw)`
 //!
 //! The im2col matrix has shape `(C*kh*kw, N*oh*ow)` with column index
-//! `n*oh*ow + oy*ow + ox`, so one matrix multiplication covers the whole
-//! batch.
+//! `n*oh*ow + oy*ow + ox`.
 //!
 //! The hot kernels (forward conv, both weight gradients, and the
 //! transposed-conv input gradient) never materialize that matrix: they
@@ -17,22 +16,39 @@
 //! the lowering happens inside B-panel packing, one cache-sized panel at a
 //! time. The standalone [`im2col`]/[`col2im`] entry points remain for the
 //! scatter-based paths and for tests.
+//!
+//! The two forward kernels ([`conv2d_into`], [`conv_transpose2d_into`])
+//! run one image at a time. The weights are packed into GEMM tiles once
+//! per call. Each image is copied once into a zero-bordered scratch when
+//! the conv pads, so the GEMM sees an unpadded view. Its GEMM then writes
+//! `out[img]`, which already is the row-major `(O, oh*ow)` result, so no
+//! staging matrix and no transpose pass are needed. Images are the
+//! parallel unit: one pool region per call, and each image's GEMM runs
+//! whole on the worker that took it. The gradient kernels still multiply
+//! the whole batch at once through channel-major staging.
 
-use super::gemm::{gemm, scratch_prefix, valid_run, Im2colView, Operand};
-use crate::parallel::par_rows_mut;
+use super::gemm::{
+    gemm, gemm_packed, scratch_prefix, valid_run, with_packed_a, Im2colView, Operand,
+    MIN_CHUNK_MACS,
+};
+use crate::parallel::{num_threads, par_rows_mut};
 use crate::{Result, Tensor, TensorError};
 use std::cell::RefCell;
 
 thread_local! {
-    /// Scratch for the `(O, N*oh*ow)` / `(Ci, N*H*W)` channel-major
-    /// matrices the convolution kernels stage their GEMM through, reused
-    /// across calls so the steady state allocates nothing.
+    /// Scratch for the `(O, N*oh*ow)` channel-major gradient matrix the
+    /// gradient kernels stage their GEMM through, reused across calls so
+    /// the steady state allocates nothing.
     static MAT_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Scratch for the column matrices of [`conv_transpose2d_into`]
-    /// (`(O*kh*kw, N*H*W)`) and [`conv2d_grad_input`] (`(C*kh*kw,
+    /// Scratch for the column matrices of [`conv_transpose2d_into`] (one
+    /// image's `(O*kh*kw, H*W)`) and [`conv2d_grad_input`] (`(C*kh*kw,
     /// N*oh*ow)`); distinct from [`MAT_SCRATCH`] because both are live at
     /// once.
     static COLS_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// One image, zero-padded, for [`conv2d_into`]: `(C, H+2p, W+2p)`.
+    /// Every element (border included) is rewritten for every image, so
+    /// nothing depends on what a previous layer left here.
+    static PAD_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Spatial geometry shared by the convolution kernels.
@@ -97,6 +113,78 @@ fn expect_rank4(op: &'static str, t: &Tensor) -> Result<[usize; 4]> {
     Ok([d[0], d[1], d[2], d[3]])
 }
 
+/// Runs `f(img, out_img)` for every image of the `(N, ...)` output `out`,
+/// where `out_img` is image `img`'s `img_len` elements and costs about
+/// `macs` multiply-adds. Images are spread over the pool in one region,
+/// at least [`MIN_CHUNK_MACS`] of work per chunk; inside it each image's
+/// GEMM runs whole on its worker (nested regions run inline). With fewer
+/// images than threads the images run one after another instead, so that
+/// each image's GEMM keeps its own split — the serve path's single-image
+/// batches among them.
+fn for_each_image(
+    out: &mut [f32],
+    n: usize,
+    img_len: usize,
+    macs: usize,
+    f: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    if n < num_threads() {
+        for (img, y) in out.chunks_exact_mut(img_len.max(1)).enumerate() {
+            f(img, y);
+        }
+        return;
+    }
+    let min_imgs = MIN_CHUNK_MACS.div_ceil(macs.max(1));
+    par_rows_mut(out, n, img_len, min_imgs, |imgs, chunk| {
+        for (img, y) in imgs.zip(chunk.chunks_exact_mut(img_len.max(1))) {
+            f(img, y);
+        }
+    });
+}
+
+/// Runs `f` on the `(C, H, W)` image `src` zero-padded by `pad` on every
+/// side, i.e. as a `(C, H+2*pad, W+2*pad)` image; with `pad == 0`, on
+/// `src` itself. The padded copy lives in [`PAD_SCRATCH`] and is written
+/// in full, border included, on every call.
+fn with_padded<R>(
+    src: &[f32],
+    (c, h, w): (usize, usize, usize),
+    pad: usize,
+    f: impl FnOnce(&[f32]) -> R,
+) -> R {
+    if pad == 0 {
+        return f(src);
+    }
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    PAD_SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        let dst = scratch_prefix(&mut scratch, c * hp * wp);
+        for ci in 0..c {
+            let plane = &mut dst[ci * hp * wp..(ci + 1) * hp * wp];
+            let (top, rest) = plane.split_at_mut(pad * wp);
+            let (body, bottom) = rest.split_at_mut(h * wp);
+            top.fill(0.0);
+            bottom.fill(0.0);
+            for (y, row) in body.chunks_exact_mut(wp).enumerate() {
+                let s = &src[(ci * h + y) * w..][..w];
+                row[..pad].fill(0.0);
+                row[pad..pad + w].copy_from_slice(s);
+                row[pad + w..].fill(0.0);
+            }
+        }
+        f(dst)
+    })
+}
+
+/// Adds `bias[o]` to row `o` of the row-major `(O, hw)` image `y`.
+fn add_bias(y: &mut [f32], bias: Option<&Tensor>, hw: usize) {
+    if let Some(b) = bias {
+        for (row, &bv) in y.chunks_exact_mut(hw.max(1)).zip(b.as_slice()) {
+            crate::backend::add_scalar_inplace(row, bv);
+        }
+    }
+}
+
 /// Copies NCHW data into a `(C, N*H*W)` channel-major matrix slice.
 fn nchw_to_c_nm_slice(src: &[f32], n: usize, c: usize, hw: usize, dst: &mut [f32]) {
     for ci in 0..c {
@@ -107,35 +195,11 @@ fn nchw_to_c_nm_slice(src: &[f32], n: usize, c: usize, hw: usize, dst: &mut [f32
     }
 }
 
-/// Inverse of [`nchw_to_c_nm_slice`]: scatters `(C, N*H*W)` back to NCHW.
-fn c_nm_to_nchw_slice(src: &[f32], n: usize, c: usize, hw: usize, dst: &mut [f32]) {
-    for ci in 0..c {
-        for ni in 0..n {
-            let s = &src[ci * n * hw + ni * hw..ci * n * hw + (ni + 1) * hw];
-            dst[(ni * c + ci) * hw..(ni * c + ci + 1) * hw].copy_from_slice(s);
-        }
-    }
-}
-
 /// Permutes `(N, C, H, W)` into a `(C, N*H*W)` matrix (channel-major).
 fn nchw_to_c_nm(x: &Tensor) -> Result<Tensor> {
     let [n, c, h, w] = expect_rank4("nchw_to_c_nm", x)?;
     let mut out = Tensor::zeros(&[c, n * h * w]);
     nchw_to_c_nm_slice(x.as_slice(), n, c, h * w, out.as_mut_slice());
-    Ok(out)
-}
-
-/// Inverse of [`nchw_to_c_nm`]: scatters a `(C, N*H*W)` matrix back to NCHW.
-fn c_nm_to_nchw(m: &Tensor, n: usize, c: usize, h: usize, w: usize) -> Result<Tensor> {
-    if m.shape() != [c, n * h * w] {
-        return Err(TensorError::ShapeMismatch {
-            op: "c_nm_to_nchw",
-            lhs: m.shape().to_vec(),
-            rhs: vec![c, n * h * w],
-        });
-    }
-    let mut out = Tensor::zeros(&[n, c, h, w]);
-    c_nm_to_nchw_slice(m.as_slice(), n, c, h * w, out.as_mut_slice());
     Ok(out)
 }
 
@@ -359,8 +423,9 @@ pub fn conv2d(
 }
 
 /// [`conv2d`] writing into the caller-provided `(N, O, oh, ow)` tensor
-/// `out`, bit-identical to the allocating variant. The intermediate GEMM
-/// matrix lives in thread-local scratch, so a warm call allocates nothing.
+/// `out`, bit-identical to the allocating variant. The packed weights and
+/// the padded image live in grow-only thread-local scratch, so a warm call
+/// allocates nothing.
 ///
 /// # Errors
 ///
@@ -374,7 +439,7 @@ pub fn conv2d_into(
     pad: usize,
     out: &mut Tensor,
 ) -> Result<()> {
-    let [n, c, _, _] = expect_rank4("conv2d", x)?;
+    let [n, c, h, w] = expect_rank4("conv2d", x)?;
     let [o, wc, kh, kw] = expect_rank4("conv2d", weight)?;
     if wc != c {
         return Err(TensorError::ShapeMismatch {
@@ -383,7 +448,7 @@ pub fn conv2d_into(
             rhs: weight.shape().to_vec(),
         });
     }
-    let (view, oh, ow) = im2col_view(x, kh, kw, stride, pad)?;
+    let (_, oh, ow) = im2col_view(x, kh, kw, stride, pad)?;
     if out.shape() != [n, o, oh, ow] {
         return Err(TensorError::ShapeMismatch {
             op: "conv2d_into",
@@ -400,33 +465,30 @@ pub fn conv2d_into(
             });
         }
     }
-    // Fused path: the weight matrix (O, C*kh*kw) multiplies the virtual
-    // im2col matrix directly; lowering happens inside B-panel packing.
-    let ckk = c * kh * kw;
-    let row_len = n * oh * ow;
-    MAT_SCRATCH.with(|cell| {
-        // The GEMM overwrites every element of the matrix.
-        let mut scratch = cell.borrow_mut();
-        let out_mat = scratch_prefix(&mut scratch, o * row_len);
-        gemm(
-            o,
-            row_len,
-            ckk,
-            weight.as_slice(),
-            ckk,
-            1,
-            &Operand::Im2col(view),
-            out_mat,
-        );
-        if let Some(b) = bias {
-            for (oi, &bv) in b.as_slice().iter().enumerate() {
-                crate::backend::add_scalar_inplace(
-                    &mut out_mat[oi * row_len..(oi + 1) * row_len],
-                    bv,
-                );
-            }
-        }
-        c_nm_to_nchw_slice(out_mat, n, o, oh * ow, out.as_mut_slice());
+    // Per image: the weight matrix (O, C*kh*kw), packed once, multiplies
+    // the virtual im2col matrix of the padded image; lowering happens
+    // inside B-panel packing and the product lands in `out[img]`.
+    let (ckk, opix, chw) = (c * kh * kw, oh * ow, c * h * w);
+    let xs = x.as_slice();
+    with_packed_a(o, ckk, weight.as_slice(), ckk, 1, |ap| {
+        for_each_image(out.as_mut_slice(), n, o * opix, o * opix * ckk, |img, y| {
+            with_padded(&xs[img * chw..][..chw], (c, h, w), pad, |data| {
+                let view = Im2colView {
+                    data,
+                    c,
+                    h: h + 2 * pad,
+                    w: w + 2 * pad,
+                    kh,
+                    kw,
+                    stride,
+                    pad: 0,
+                    oh,
+                    ow,
+                };
+                gemm_packed(o, opix, ckk, ap, &Operand::Im2col(view), y);
+            });
+            add_bias(y, bias, opix);
+        });
     });
     Ok(())
 }
@@ -604,9 +666,9 @@ fn conv_transpose_out_dims(
 }
 
 /// [`conv_transpose2d`] writing into the caller-provided `(N, O, oh, ow)`
-/// tensor `out`, bit-identical to the allocating variant. The channel-major
-/// input matrix and the scatter columns live in thread-local scratch, so a
-/// warm call allocates nothing.
+/// tensor `out`, bit-identical to the allocating variant. The packed
+/// weights and one image's scatter columns live in grow-only thread-local
+/// scratch, so a warm call allocates nothing.
 ///
 /// # Errors
 ///
@@ -646,50 +708,28 @@ pub fn conv_transpose2d_into(
             });
         }
     }
-    let nhw = n * h * w;
-    let okk = o * kh * kw;
-    MAT_SCRATCH.with(|xc| {
-        let mut xmat = xc.borrow_mut();
-        xmat.clear();
-        xmat.resize(ci * nhw, 0.0);
-        nchw_to_c_nm_slice(x.as_slice(), n, ci, h * w, &mut xmat);
-        COLS_SCRATCH.with(|cc| {
-            let mut cols = cc.borrow_mut();
-            cols.clear();
-            cols.resize(okk * nhw, 0.0);
-            // cols = Wᵀ · xmat with W the (Ci, O*kh*kw) weight matrix,
-            // expressed as a strided view exactly like `matmul_at`.
-            gemm(
-                okk,
-                nhw,
-                ci,
-                weight.as_slice(),
-                1,
-                okk,
-                &Operand::Strided {
-                    data: &xmat,
-                    rs: nhw,
+    // Per image: cols = Wᵀ · x[img], with W the (Ci, O*kh*kw) weight
+    // matrix packed once as a strided transpose (exactly `matmul_at`) and
+    // x[img] already the (Ci, H*W) matrix; then scatter into out[img].
+    let (hw, okk, ohw) = (h * w, o * kh * kw, oh * ow);
+    let xs = x.as_slice();
+    with_packed_a(okk, ci, weight.as_slice(), 1, okk, |ap| {
+        for_each_image(out.as_mut_slice(), n, o * ohw, okk * hw * ci, |img, y| {
+            COLS_SCRATCH.with(|cc| {
+                let mut scratch = cc.borrow_mut();
+                let cols = scratch_prefix(&mut scratch, okk * hw);
+                let xmat = Operand::Strided {
+                    data: &xs[img * ci * hw..][..ci * hw],
+                    rs: hw,
                     cs: 1,
-                },
-                &mut cols,
-            );
-            let dst = out.as_mut_slice();
-            dst.fill(0.0);
-            col2im_scatter(&cols, dst, n, o, oh, ow, kh, kw, stride, pad, h, w);
+                };
+                gemm_packed(okk, hw, ci, ap, &xmat, cols);
+                y.fill(0.0);
+                col2im_scatter(cols, y, 1, o, oh, ow, kh, kw, stride, pad, h, w);
+            });
+            add_bias(y, bias, ohw);
         });
     });
-    if let Some(b) = bias {
-        let hw = oh * ow;
-        let data = out.as_mut_slice();
-        for ni in 0..n {
-            for (oi, &bv) in b.as_slice().iter().enumerate() {
-                crate::backend::add_scalar_inplace(
-                    &mut data[(ni * o + oi) * hw..(ni * o + oi + 1) * hw],
-                    bv,
-                );
-            }
-        }
-    }
     Ok(())
 }
 
@@ -704,8 +744,8 @@ pub fn conv_transpose2d_grad_input(
     stride: usize,
     pad: usize,
 ) -> Result<Tensor> {
-    let [n, o, _, _] = expect_rank4("conv_transpose2d_grad_input", grad_out)?;
-    let [ci, wo, kh, kw] = expect_rank4("conv_transpose2d_grad_input", weight)?;
+    let [_, o, _, _] = expect_rank4("conv_transpose2d_grad_input", grad_out)?;
+    let [_, wo, _, _] = expect_rank4("conv_transpose2d_grad_input", weight)?;
     if wo != o {
         return Err(TensorError::ShapeMismatch {
             op: "conv_transpose2d_grad_input",
@@ -714,23 +754,10 @@ pub fn conv_transpose2d_grad_input(
         });
     }
     // Differentiating the scatter: grad wrt x is an ordinary convolution of
-    // grad_out with the same kernel, computed fused (the im2col of
-    // grad_out is consumed virtually by panel packing). The forward-input
-    // grid (H, W) is exactly that convolution's output grid.
-    let (view, h, w) = im2col_view(grad_out, kh, kw, stride, pad)?;
-    let okk = o * kh * kw;
-    let mut gxmat = Tensor::zeros(&[ci, n * h * w]);
-    gemm(
-        ci,
-        n * h * w,
-        okk,
-        weight.as_slice(),
-        okk,
-        1,
-        &Operand::Im2col(view),
-        gxmat.as_mut_slice(),
-    );
-    c_nm_to_nchw(&gxmat, n, ci, h, w)
+    // grad_out with the same kernel, read as a (Ci, O, kh, kw) conv weight.
+    // The forward-input grid (H, W) is exactly that convolution's output
+    // grid.
+    conv2d(grad_out, weight, None, stride, pad)
 }
 
 /// Gradient of [`conv_transpose2d`] with respect to its weight.

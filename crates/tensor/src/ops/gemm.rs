@@ -10,26 +10,32 @@
 //!   Packing is where operand layout is absorbed — a panel source can be a
 //!   strided matrix, a strided transpose, or the *virtual* im2col matrix
 //!   of an NCHW image batch (never materialized). At stride 1 the im2col
-//!   packers move whole input-row runs (one bounded copy per run, zero
-//!   fill only at padded edges, see [`valid_run`]) instead of gathering
-//!   element by element.
+//!   packers move whole input-row runs instead of gathering element by
+//!   element. The im2col matrix is always of an unpadded view (the
+//!   forward convolutions pad each image once), so its runs are straight
+//!   copies; its transpose, read by the weight gradients, zero-fills only
+//!   at padded edges (see [`valid_run`]).
 //! * A is packed per [`MR`]-row tile as `ap[p * MR + i]`, also sequential
-//!   in the k loop.
+//!   in the k loop. All of A is packed once, up front, by the calling
+//!   thread ([`with_packed_a`]); both schedules read that one layout
+//!   through [`gemm_packed`]. [`gemm`] is exactly "pack A, then
+//!   `gemm_packed`". The forward convolutions pack their weights once per
+//!   call and pass the packed tiles to one `gemm_packed` per image.
 //! * The microkernel keeps an `MR x NR` accumulator block in registers and
 //!   performs one rank-1 update per k step.
 //!
 //! Two schedules drive the microkernel, chosen by the row count `m`
 //! alone:
 //!
-//! * **Short M** (`m <= SHORT_M`): all A tiles are packed once; then for
-//!   each B panel, one small panel buffer is packed over the full `k` and
-//!   every A tile runs on it while it sits in L1. The full packed B is
-//!   never materialized. Threads split the *columns* into disjoint panel
-//!   ranges. Conv layers and weight gradients with few output channels run
-//!   here.
+//! * **Short M** (`m <= SHORT_M`): for each B panel, one small panel
+//!   buffer is packed over the full `k` and every A tile runs on it while
+//!   it sits in L1. The full packed B is never materialized. Threads split
+//!   the *columns* into disjoint panel ranges. Conv layers and weight
+//!   gradients with few output channels run here.
 //! * **Row tiles** (taller `m`): all of B is packed once per call, then
-//!   threads split the output rows into chunks of at least `MC` rows and
-//!   walk the full reduction per [`MR`]-row tile.
+//!   threads split the output rows into chunks of at least `MC` rows that
+//!   start on [`MR`] boundaries and walk the full reduction per pre-packed
+//!   tile.
 //!
 //! # Reduction order is load-bearing
 //!
@@ -42,7 +48,7 @@
 //! settings, which is what the determinism test suite pins down.
 
 use crate::backend::{self, KernelBackend, MR, NR};
-use crate::parallel::{par_col_panels_mut, par_rows_mut};
+use crate::parallel::{par_col_panels_mut, par_row_tiles_mut, par_rows_mut};
 use std::cell::RefCell;
 
 /// Largest row count the short-M schedule ([`gemm_short_m`]) takes: four
@@ -58,15 +64,20 @@ const MC: usize = 32;
 /// Minimum microkernel k-steps per parallel chunk of the short-M schedule.
 const SHORT_M_CHUNK_STEPS: usize = 1 << 14;
 
+/// The same floor in multiply-adds, for callers that split work coarser
+/// than one GEMM (the per-image convolutions): below it a chunk costs
+/// less than the pool's dispatch.
+pub(crate) const MIN_CHUNK_MACS: usize = SHORT_M_CHUNK_STEPS * MR * NR;
+
 thread_local! {
-    /// Per-thread packed-B scratch, reused across [`gemm`] calls so the
-    /// steady state allocates nothing: the whole packed B of a row-tile
-    /// call, or one worker's panel in the short-M schedule. Distinct from
-    /// [`A_SCRATCH`] because the calling thread holds one of the two across
-    /// the compute stage while, as a pool participant, it borrows the other.
+    /// Per-thread packed-B scratch, reused across [`gemm_packed`] calls so
+    /// the steady state allocates nothing: the whole packed B of a
+    /// row-tile call, or one worker's panel in the short-M schedule.
     static B_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread packed-A scratch: one worker's tile in the row-tile
-    /// schedule, or every tile of a short-M call.
+    /// Per-thread packed-A scratch: every tile of A, held by the calling
+    /// thread for the whole of [`with_packed_a`]'s closure. Distinct from
+    /// [`B_SCRATCH`] because, as a pool participant inside that closure,
+    /// the same thread borrows the B scratch.
     static A_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -133,6 +144,9 @@ pub(crate) enum Operand<'a> {
         cs: usize,
     },
     /// The virtual im2col matrix of `view` (shape `C*kh*kw x N*oh*ow`).
+    /// The view must be unpadded (`pad == 0`): the forward convolutions
+    /// pad each image once before their GEMM, so the packers never
+    /// resolve padding.
     Im2col(Im2colView<'a>),
     /// The transpose of [`Operand::Im2col`] (shape `N*oh*ow x C*kh*kw`).
     Im2colT(Im2colView<'a>),
@@ -141,9 +155,9 @@ pub(crate) enum Operand<'a> {
 /// The offsets `jj` in `0..len` whose input column `sx + jj * stride`
 /// falls inside `0..w`, as a half-open range (empty when none does).
 ///
-/// This is the run resolver the im2col packers (the f32 run packers below
-/// and the int8 same-output-row panels in [`super::qgemm`]) and the
-/// col2im scatter share: consecutive output columns of one output row
+/// This is the run resolver the padded im2col packers (the f32
+/// transposed-im2col run packer below and the int8 same-output-row panels
+/// in [`super::qgemm`]) and the col2im scatter share: consecutive output columns of one output row
 /// read one input row at a fixed stride, so their padded edges are a
 /// prefix and a suffix of the run and only the middle reads real data.
 #[inline]
@@ -164,17 +178,6 @@ pub(crate) fn valid_run(sx: isize, stride: usize, w: usize, len: usize) -> (usiz
     };
     let hi = hi.min(len);
     (lo.min(hi), hi)
-}
-
-/// Consecutive panel columns `jj0 .. jj0 + len` that share one output row
-/// `(img, oy)` and so cover output columns `ox0 .. ox0 + len`.
-#[derive(Clone, Copy, Default)]
-struct Run {
-    jj0: usize,
-    len: usize,
-    img: usize,
-    oy: usize,
-    ox0: usize,
 }
 
 /// Packs columns `j0 .. j0+jn` and all `k` reduction rows of operand `b`
@@ -205,38 +208,28 @@ fn pack_b_panel(b: &Operand, j0: usize, jn: usize, k: usize, dst: &mut [f32]) {
         Operand::Im2col(v) if v.stride == 1 => pack_im2col_runs(v, j0, jn, k, dst),
         Operand::Im2col(v) => {
             // Rows iterate (ci, ky, kx); the panel's columns are fixed
-            // output positions (img, oy, ox), precomputed once.
-            let mut cols = [(0usize, 0usize, 0usize); NR];
-            for (jj, slot) in cols.iter_mut().take(jn).enumerate() {
+            // output positions (img, oy, ox). The view is unpadded, so each
+            // column reads a fixed base offset plus the row's tap offset
+            // `(ci*h + ky)*w + kx`.
+            debug_assert_eq!((v.pad, k), (0, v.c * v.kh * v.kw));
+            let mut bases = [0usize; NR];
+            for (jj, base) in bases.iter_mut().take(jn).enumerate() {
                 let col = j0 + jj;
                 let img = col / (v.oh * v.ow);
                 let rem = col % (v.oh * v.ow);
-                *slot = (img, (rem / v.ow) * v.stride, (rem % v.ow) * v.stride);
+                let (y, x) = ((rem / v.ow) * v.stride, (rem % v.ow) * v.stride);
+                *base = (img * v.c * v.h + y) * v.w + x;
             }
-            let (mut ci, mut ky, mut kx) = (0usize, 0usize, 0usize);
-            for row in dst[..k * NR].chunks_exact_mut(NR) {
-                let (d, tail) = row.split_at_mut(jn);
-                if v.pad == 0 {
-                    // Padding branch hoisted: zero-pad geometry can never
-                    // sample outside the image (see `sample_unpadded`).
-                    for (jj, v2) in d.iter_mut().enumerate() {
-                        let (img, ybase, xbase) = cols[jj];
-                        *v2 = v.sample_unpadded(img, ci, ybase + ky, xbase + kx);
-                    }
-                } else {
-                    for (jj, v2) in d.iter_mut().enumerate() {
-                        let (img, ybase, xbase) = cols[jj];
-                        *v2 = v.sample(img, ci, ybase + ky, xbase + kx);
-                    }
-                }
-                tail.fill(0.0);
-                kx += 1;
-                if kx == v.kw {
-                    kx = 0;
-                    ky += 1;
-                    if ky == v.kh {
-                        ky = 0;
-                        ci += 1;
+            let mut rows = dst[..k * NR].chunks_exact_mut(NR);
+            for ci in 0..v.c {
+                for ky in 0..v.kh {
+                    for (kx, row) in (0..v.kw).zip(&mut rows) {
+                        let tap = (ci * v.h + ky) * v.w + kx;
+                        let (d, tail) = row.split_at_mut(jn);
+                        for (v2, &base) in d.iter_mut().zip(&bases) {
+                            *v2 = v.data[base + tap];
+                        }
+                        tail.fill(0.0);
                     }
                 }
             }
@@ -281,54 +274,26 @@ fn pack_b_panel(b: &Operand, j0: usize, jn: usize, k: usize, dst: &mut [f32]) {
 }
 
 /// Stride-1 [`Operand::Im2col`] panel packer. The panel's columns split
-/// into at most [`NR`] runs that share an output row `(img, oy)`; for each
-/// reduction row `(ci, ky, kx)` a run reads one input-row segment. Row
-/// validity and the source row resolve once per `(ci, ky)`; each run
-/// then lands as one bounded copy (a fixed [`NR`]-wide one for a
-/// whole-panel interior run), with zero-fill only at padded edges
-/// ([`valid_run`]).
+/// into at most [`NR`] runs that share an output row `(img, oy)`. The view
+/// is unpadded, so every run lies inside the image and each reduction row
+/// `(ci, ky, kx)` of a run is one straight copy from a fixed offset (a
+/// fixed [`NR`]-wide one for a whole-panel run).
 fn pack_im2col_runs(v: &Im2colView, j0: usize, jn: usize, k: usize, dst: &mut [f32]) {
-    debug_assert_eq!(v.stride, 1);
-    let (opix, plane) = (v.oh * v.ow, v.h * v.w);
-    let mut runs = [Run::default(); NR];
-    let (mut nruns, mut jj) = (0usize, 0usize);
+    debug_assert_eq!((v.stride, v.pad, k), (1, 0, v.c * v.kh * v.kw));
+    let opix = v.oh * v.ow;
+    let mut jj = 0;
     while jj < jn {
         let col = j0 + jj;
-        let rem = col % opix;
-        let ox0 = rem % v.ow;
+        let (img, rem) = (col / opix, col % opix);
+        let (oy, ox0) = (rem / v.ow, rem % v.ow);
         let len = (v.ow - ox0).min(jn - jj);
-        runs[nruns] = Run {
-            jj0: jj,
-            len,
-            img: col / opix,
-            oy: rem / v.ow,
-            ox0,
-        };
-        nruns += 1;
-        jj += len;
-    }
-    let runs = &runs[..nruns];
-    let (mut ci, mut ky, mut p) = (0usize, 0usize, 0usize);
-    while p < k {
-        // One (ci, ky) group: reduction rows p .. p + kw.
-        let nkx = v.kw.min(k - p);
-        let rows = &mut dst[p * NR..(p + nkx) * NR];
-        for r in runs {
-            let iy = match (r.oy + ky).checked_sub(v.pad) {
-                Some(iy) if iy < v.h => iy,
-                _ => {
-                    for row in rows.chunks_exact_mut(NR) {
-                        row[r.jj0..r.jj0 + r.len].fill(0.0);
-                    }
-                    continue;
-                }
-            };
-            let src_row = &v.data[(r.img * v.c + ci) * plane + iy * v.w..][..v.w];
-            for (t, row) in rows.chunks_exact_mut(NR).enumerate() {
-                let seg = &mut row[r.jj0..r.jj0 + r.len];
-                let sx = (r.ox0 + t) as isize - v.pad as isize;
-                if sx >= 0 && sx as usize + r.len <= v.w {
-                    let src = &src_row[sx as usize..sx as usize + r.len];
+        let base = (img * v.c * v.h + oy) * v.w + ox0;
+        let mut rows = dst[..k * NR].chunks_exact_mut(NR);
+        for ci in 0..v.c {
+            for ky in 0..v.kh {
+                let src_row = &v.data[base + (ci * v.h + ky) * v.w..];
+                for (kx, row) in (0..v.kw).zip(&mut rows) {
+                    let (seg, src) = (&mut row[jj..jj + len], &src_row[kx..kx + len]);
                     match (
                         <&mut [f32; NR]>::try_from(&mut *seg),
                         <&[f32; NR]>::try_from(src),
@@ -336,27 +301,14 @@ fn pack_im2col_runs(v: &Im2colView, j0: usize, jn: usize, k: usize, dst: &mut [f
                         (Ok(d), Ok(s)) => *d = *s,
                         _ => seg.copy_from_slice(src),
                     }
-                } else {
-                    let (lo, hi) = valid_run(sx, 1, v.w, r.len);
-                    seg[..lo].fill(0.0);
-                    seg[hi..].fill(0.0);
-                    if lo < hi {
-                        let x0 = (sx + lo as isize) as usize;
-                        seg[lo..hi].copy_from_slice(&src_row[x0..x0 + (hi - lo)]);
-                    }
                 }
             }
         }
-        if jn < NR {
-            for row in rows.chunks_exact_mut(NR) {
-                row[jn..].fill(0.0);
-            }
-        }
-        p += nkx;
-        ky += 1;
-        if ky == v.kh {
-            ky = 0;
-            ci += 1;
+        jj += len;
+    }
+    if jn < NR {
+        for row in dst[..k * NR].chunks_exact_mut(NR) {
+            row[jn..].fill(0.0);
         }
     }
 }
@@ -449,10 +401,37 @@ fn pack_a_tile(data: &[f32], rs: usize, cs: usize, i0: usize, im: usize, k: usiz
     }
 }
 
+/// Runs `f` on the packed-A layout of the strided `(m, k)` view
+/// `a_data[i * a_rs + p * a_cs]`: `m.div_ceil(MR)` tiles of `k * MR`
+/// floats, tile `t` holding rows `t * MR ..` as `ap[p * MR + i]` (see
+/// [`pack_a_tile`]). The layout lives in the calling thread's grow-only
+/// A scratch for the duration of `f`, which hands it to [`gemm_packed`]
+/// as often as it likes: a convolution packs its weights here once per
+/// call and reuses them for every image.
+pub(crate) fn with_packed_a<R>(
+    m: usize,
+    k: usize,
+    a_data: &[f32],
+    a_rs: usize,
+    a_cs: usize,
+    f: impl FnOnce(&[f32]) -> R,
+) -> R {
+    A_SCRATCH.with(|apc| {
+        let mut scratch = apc.borrow_mut();
+        let tile_len = k * MR;
+        let ap = scratch_prefix(&mut scratch, m.div_ceil(MR) * tile_len);
+        for (t, tile) in ap.chunks_exact_mut(tile_len.max(1)).enumerate() {
+            let i0 = t * MR;
+            pack_a_tile(a_data, a_rs, a_cs, i0, MR.min(m - i0), k, tile);
+        }
+        f(ap)
+    })
+}
+
 /// `out = A · B` where `A` is the strided `(m, k)` view
 /// `a_data[i * a_rs + p * a_cs]` and `B` is any [`Operand`] of shape
 /// `(k, n)`. `out` must be an `m * n` row-major buffer (every element is
-/// overwritten).
+/// overwritten). Packs every A tile, then runs [`gemm_packed`].
 #[allow(clippy::too_many_arguments)] // flat (dims, strides) signature keeps call sites allocation-free
 pub(crate) fn gemm(
     m: usize,
@@ -464,7 +443,21 @@ pub(crate) fn gemm(
     b: &Operand,
     out: &mut [f32],
 ) {
+    with_packed_a(m, k, a_data, a_rs, a_cs, |ap| {
+        gemm_packed(m, n, k, ap, b, out)
+    });
+}
+
+/// `out = A · B` with A already in the [`with_packed_a`] layout `ap`.
+/// `out` must be an `m * n` row-major buffer (every element is
+/// overwritten).
+pub(crate) fn gemm_packed(m: usize, n: usize, k: usize, ap: &[f32], b: &Operand, out: &mut [f32]) {
     assert_eq!(out.len(), m * n, "gemm output buffer mismatch");
+    assert_eq!(
+        ap.len(),
+        m.div_ceil(MR) * k * MR,
+        "packed A layout mismatch"
+    );
     if m == 0 || n == 0 {
         return;
     }
@@ -473,7 +466,7 @@ pub(crate) fn gemm(
     // — see `crate::backend`).
     let be = backend::active();
     if m <= SHORT_M {
-        gemm_short_m(m, n, k, a_data, a_rs, a_cs, b, out, be);
+        gemm_short_m(m, n, k, ap, b, out, be);
         return;
     }
 
@@ -481,6 +474,7 @@ pub(crate) fn gemm(
     // panel packer overwrites every slot of its panel, edge-panel padding
     // included.
     let npanels = n.div_ceil(NR);
+    let tile_len = k * MR;
     B_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
         let packed_b = scratch_prefix(&mut scratch, npanels * k * NR);
@@ -499,64 +493,53 @@ pub(crate) fn gemm(
             });
         }
 
-        // Compute over disjoint output row ranges; each worker packs its
-        // own A tiles (per-thread scratch; pack_a_tile overwrites every
-        // element including the zero padding, so no re-zeroing is needed).
-        // Tile edges only change *which* worker computes an element, never
-        // its reduction order, so any split is bit-identical.
+        // Compute over disjoint output row ranges that start on tile
+        // boundaries, so each chunk reads whole pre-packed A tiles. Tile
+        // edges only change *which* worker computes an element, never its
+        // reduction order, so any split is bit-identical.
         let packed_b = &*packed_b;
-        par_rows_mut(out, m, n, MC, |rows, chunk| {
-            A_SCRATCH.with(|apc| {
-                let mut scratch = apc.borrow_mut();
-                let ap = scratch_prefix(&mut scratch, k * MR);
-                let (r0, r1) = (rows.start, rows.end);
-                let mut i0 = r0;
-                while i0 < r1 {
-                    let im = MR.min(r1 - i0);
-                    pack_a_tile(a_data, a_rs, a_cs, i0, im, k, ap);
-                    for jp in 0..npanels {
-                        let j0 = jp * NR;
-                        let jn = NR.min(n - j0);
-                        let mut acc = [[0.0f32; NR]; MR];
-                        backend::microkernel_with(
-                            be,
-                            k,
-                            ap,
-                            &packed_b[jp * k * NR..(jp + 1) * k * NR],
-                            &mut acc,
-                        );
-                        for (i, arow) in acc.iter().enumerate().take(im) {
-                            let row = (i0 - r0 + i) * n + j0;
-                            chunk[row..row + jn].copy_from_slice(&arow[..jn]);
-                        }
+        par_row_tiles_mut(out, m, n, MR, MC / MR, |rows, chunk| {
+            let r0 = rows.start;
+            for i0 in rows.step_by(MR) {
+                let im = MR.min(m - i0);
+                let tile = &ap[i0 / MR * tile_len..][..tile_len];
+                for jp in 0..npanels {
+                    let j0 = jp * NR;
+                    let jn = NR.min(n - j0);
+                    let mut acc = [[0.0f32; NR]; MR];
+                    backend::microkernel_with(
+                        be,
+                        k,
+                        tile,
+                        &packed_b[jp * k * NR..(jp + 1) * k * NR],
+                        &mut acc,
+                    );
+                    for (i, arow) in acc.iter().enumerate().take(im) {
+                        let row = (i0 - r0 + i) * n + j0;
+                        chunk[row..row + jn].copy_from_slice(&arow[..jn]);
                     }
-                    i0 += im;
                 }
-            });
+            }
         });
     });
 }
 
-/// The short-M schedule (`m <= SHORT_M`): every A tile is packed once up
-/// front, then each [`NR`]-column panel of B is packed over the full `k`
-/// into a small per-thread buffer and every A tile runs on it while it is
-/// still in L1. The full `k x n` packed B is never
-/// materialized, so B costs one gather instead of a multi-megabyte write
-/// plus one re-read per row tile.
+/// The short-M schedule (`m <= SHORT_M`): each [`NR`]-column panel of B is
+/// packed over the full `k` into a small per-thread buffer and every
+/// pre-packed A tile runs on it while it is still in L1. The full `k x n`
+/// packed B is never materialized, so B costs one gather instead of a
+/// multi-megabyte write plus one re-read per row tile.
 ///
 /// Work is split over disjoint column-panel ranges (a row split would give
 /// at most one [`MC`]-row chunk). Each output element is still one
 /// microkernel chain over the whole reduction starting from zero — exactly
 /// what the row-tile walk computes — so the two schedules agree bit for
 /// bit.
-#[allow(clippy::too_many_arguments)] // mirrors gemm
 fn gemm_short_m(
     m: usize,
     n: usize,
     k: usize,
-    a_data: &[f32],
-    a_rs: usize,
-    a_cs: usize,
+    ap: &[f32],
     b: &Operand,
     out: &mut [f32],
     be: &dyn KernelBackend,
@@ -566,41 +549,31 @@ fn gemm_short_m(
     // At least SHORT_M_CHUNK_STEPS microkernel k-steps per parallel chunk,
     // so a thin GEMM is not split finer than the pool's dispatch cost.
     let min_panels = (SHORT_M_CHUNK_STEPS / (k * tiles).max(1)).max(1);
-    A_SCRATCH.with(|apc| {
-        let mut scratch = apc.borrow_mut();
-        let ap = scratch_prefix(&mut scratch, tiles * tile_len);
-        for t in 0..tiles {
-            let i0 = t * MR;
-            let tile = &mut ap[t * tile_len..(t + 1) * tile_len];
-            pack_a_tile(a_data, a_rs, a_cs, i0, MR.min(m - i0), k, tile);
-        }
-        let ap = &*ap;
-        par_col_panels_mut(out, m, n, NR, min_panels, |panels, cols| {
-            B_SCRATCH.with(|bpc| {
-                let mut scratch = bpc.borrow_mut();
-                let bp = scratch_prefix(&mut scratch, k * NR);
-                let c0 = cols.cols().start;
-                for jp in panels {
-                    let j0 = jp * NR;
-                    let jn = NR.min(n - j0);
-                    pack_b_panel(b, j0, jn, k, bp);
-                    for t in 0..tiles {
-                        let mut acc = [[0.0f32; NR]; MR];
-                        backend::microkernel_with(
-                            be,
-                            k,
-                            &ap[t * tile_len..(t + 1) * tile_len],
-                            bp,
-                            &mut acc,
-                        );
-                        let i0 = t * MR;
-                        for (i, arow) in acc.iter().enumerate().take(MR.min(m - i0)) {
-                            let row = cols.row_mut(i0 + i);
-                            row[j0 - c0..j0 - c0 + jn].copy_from_slice(&arow[..jn]);
-                        }
+    par_col_panels_mut(out, m, n, NR, min_panels, |panels, cols| {
+        B_SCRATCH.with(|bpc| {
+            let mut scratch = bpc.borrow_mut();
+            let bp = scratch_prefix(&mut scratch, k * NR);
+            let c0 = cols.cols().start;
+            for jp in panels {
+                let j0 = jp * NR;
+                let jn = NR.min(n - j0);
+                pack_b_panel(b, j0, jn, k, bp);
+                for t in 0..tiles {
+                    let mut acc = [[0.0f32; NR]; MR];
+                    backend::microkernel_with(
+                        be,
+                        k,
+                        &ap[t * tile_len..(t + 1) * tile_len],
+                        bp,
+                        &mut acc,
+                    );
+                    let i0 = t * MR;
+                    for (i, arow) in acc.iter().enumerate().take(MR.min(m - i0)) {
+                        let row = cols.row_mut(i0 + i);
+                        row[j0 - c0..j0 - c0 + jn].copy_from_slice(&arow[..jn]);
                     }
                 }
-            });
+            }
         });
     });
 }

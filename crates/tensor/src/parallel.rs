@@ -16,6 +16,16 @@
 //! (see [`crate::ops::matmul`]) additionally keep a fixed per-element
 //! reduction order, so results are bit-identical across thread counts.
 //!
+//! # Nested regions
+//!
+//! Regions do not nest: a region opened from inside a chunk of another
+//! region runs inline on that chunk's thread (a thread-local flag marks
+//! chunk execution). The outermost region decides the split. Per-image
+//! convolution relies on this: it hands each image to a worker, and that
+//! image's GEMM runs there whole, without a second round of queue
+//! traffic. If the outer split put all the work in one chunk, the work
+//! was too small to be worth splitting further.
+//!
 //! # Shutdown hygiene
 //!
 //! Workers are **joinable, never detached**: every [`WorkerPool`] keeps its
@@ -359,6 +369,33 @@ fn worker_loop(shared: &PoolShared) {
 }
 
 #[cfg(not(loom))]
+thread_local! {
+    /// Set while this thread runs a chunk of a [`pool_run`] region; a
+    /// region opened meanwhile runs inline.
+    static IN_REGION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Marks the current thread as running a region chunk until dropped
+/// (also on unwind, so a panicking chunk cannot leave the flag raised).
+#[cfg(not(loom))]
+struct RegionChunk;
+
+#[cfg(not(loom))]
+impl RegionChunk {
+    fn enter() -> Self {
+        IN_REGION.set(true);
+        RegionChunk
+    }
+}
+
+#[cfg(not(loom))]
+impl Drop for RegionChunk {
+    fn drop(&mut self) {
+        IN_REGION.set(false);
+    }
+}
+
+#[cfg(not(loom))]
 fn global_pool() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(WorkerPool::new)
@@ -379,7 +416,8 @@ pub fn shutdown_global_pool() {
 /// Runs `f(chunk_index)` for every index in `0..chunks`, fanning out over
 /// the persistent process-wide pool. The calling thread participates, so
 /// `chunks == 1` (or a single configured thread) runs entirely inline with
-/// no queue traffic.
+/// no queue traffic. So does a region opened from inside a chunk of
+/// another region (see the module docs on nested regions).
 ///
 /// # Panics
 ///
@@ -396,7 +434,18 @@ where
         f(idx);
     }
     #[cfg(not(loom))]
-    global_pool().run(chunks, num_threads(), f);
+    {
+        if IN_REGION.get() {
+            for idx in 0..chunks {
+                f(idx);
+            }
+            return;
+        }
+        global_pool().run(chunks, num_threads(), |idx| {
+            let _chunk = RegionChunk::enter();
+            f(idx);
+        });
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -458,12 +507,37 @@ where
     T: Send,
     F: Fn(std::ops::Range<usize>, &mut [T]) + Sync,
 {
+    par_row_tiles_mut(out, rows, row_len, 1, min_rows, f);
+}
+
+/// [`par_rows_mut`] over whole `tile`-row tiles: every chunk starts on a
+/// multiple of `tile` and spans at least `min_tiles` tiles (the last tile
+/// of the matrix may be short). Kernels that pre-pack their operand in
+/// fixed-height tiles use it so a chunk never starts inside a tile.
+///
+/// # Panics
+///
+/// Panics if `out.len() != rows * row_len`, if `tile == 0`, or if a
+/// worker panics.
+pub fn par_row_tiles_mut<T, F>(
+    out: &mut [T],
+    rows: usize,
+    row_len: usize,
+    tile: usize,
+    min_tiles: usize,
+    f: F,
+) where
+    T: Send,
+    F: Fn(std::ops::Range<usize>, &mut [T]) + Sync,
+{
     assert_eq!(out.len(), rows * row_len, "output buffer size mismatch");
+    assert!(tile > 0, "row tiles must be non-empty");
     if rows == 0 {
         f(0..0, out);
         return;
     }
-    let (chunk, chunks) = split(rows, min_rows);
+    let (chunk_tiles, chunks) = split(rows.div_ceil(tile), min_tiles);
+    let chunk = chunk_tiles * tile;
     let out_len = out.len();
     let base = SendPtr(out.as_mut_ptr());
     pool_run(chunks, |w| {
@@ -776,6 +850,59 @@ mod tests {
                 assert_eq!(*v, i as f32, "LECA_THREADS={threads}");
             }
         }
+        match old {
+            Some(v) => std::env::set_var("LECA_THREADS", v),
+            None => std::env::remove_var("LECA_THREADS"),
+        }
+        refresh_num_threads();
+    }
+
+    #[test]
+    fn par_row_tiles_mut_starts_every_chunk_on_a_tile() {
+        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let old = std::env::var("LECA_THREADS").ok();
+        for threads in ["1", "2", "3"] {
+            std::env::set_var("LECA_THREADS", threads);
+            refresh_num_threads();
+            // 72 rows of 8-row tiles: a plain 2-way row split would start
+            // its second chunk at row 36, inside tile 4.
+            let (rows, row_len) = (72, 3);
+            let mut out = vec![0.0f32; rows * row_len];
+            par_row_tiles_mut(&mut out, rows, row_len, 8, 1, |range, chunk| {
+                assert_eq!(range.start % 8, 0, "LECA_THREADS={threads}: {range:?}");
+                for (i, v) in chunk.iter_mut().enumerate() {
+                    *v = (range.start * row_len + i) as f32;
+                }
+            });
+            for (i, v) in out.iter().enumerate() {
+                assert_eq!(*v, i as f32, "LECA_THREADS={threads}");
+            }
+        }
+        match old {
+            Some(v) => std::env::set_var("LECA_THREADS", v),
+            None => std::env::remove_var("LECA_THREADS"),
+        }
+        refresh_num_threads();
+    }
+
+    #[test]
+    fn nested_region_runs_inline_on_the_chunk_thread() {
+        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let old = std::env::var("LECA_THREADS").ok();
+        std::env::set_var("LECA_THREADS", "2");
+        refresh_num_threads();
+        let total = AtomicU64::new(0);
+        pool_run(4, |_| {
+            let outer = std::thread::current().id();
+            pool_run(3, |idx| {
+                assert_eq!(std::thread::current().id(), outer);
+                total.fetch_add(idx as u64 + 1, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 4 * 6);
+        // The calling thread helped with the outer chunks; its flag drops
+        // with the region.
+        assert!(!IN_REGION.get());
         match old {
             Some(v) => std::env::set_var("LECA_THREADS", v),
             None => std::env::remove_var("LECA_THREADS"),

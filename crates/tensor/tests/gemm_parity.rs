@@ -251,21 +251,164 @@ fn check_fused_conv_case(
     assert_bits_eq(gx.as_slice(), &scatter, &format!("conv2d_grad_input {tag}"));
 }
 
+/// `a · b` as the oracle: the textbook product when the active backend is
+/// bit-exact (the blocked GEMM then matches it bit for bit), otherwise the
+/// blocked `matmul`, whose relaxed-precision microkernel the convolutions
+/// share.
+fn oracle_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    if leca_tensor::backend::active().bit_exact() {
+        matmul_naive(a, b).unwrap()
+    } else {
+        matmul(a, b).unwrap()
+    }
+}
+
+/// The textbook `(m, n*oh*ow)` product of the weight matrix and the
+/// materialized im2col matrix of `x`, plus `bias[o]` on row `o`: the
+/// channel-major result a forward convolution must reproduce bit for bit.
+fn materialized_conv(
+    x: &Tensor,
+    wt: &Tensor,
+    bias: Option<&Tensor>,
+    stride: usize,
+    pad: usize,
+) -> Vec<f32> {
+    use leca_tensor::ops::im2col;
+    let [m, c, k] = [wt.shape()[0], wt.shape()[1], wt.shape()[2]];
+    let cols = im2col(x, k, k, stride, pad).unwrap();
+    let wmat = wt.reshape(&[m, c * k * k]).unwrap();
+    let mut want = oracle_matmul(&wmat, &cols).as_slice().to_vec();
+    if let Some(bias) = bias {
+        let row_len = cols.shape()[1];
+        for (row, &b) in want.chunks_exact_mut(row_len).zip(bias.as_slice()) {
+            row.iter_mut().for_each(|v| *v += b);
+        }
+    }
+    want
+}
+
+/// Checks the per-image forward path of `conv2d_into` (padded-image
+/// scratch, weights packed once, each image's GEMM written straight into
+/// `out[img]`, bias on that slice) on one geometry.
+fn check_conv_forward_case(
+    rng: &mut rand::rngs::StdRng,
+    (n, c, h, w): (usize, usize, usize, usize),
+    m: usize,
+    stride: usize,
+    pad: usize,
+    tag: &str,
+) {
+    use leca_tensor::ops::conv2d_into;
+    let x = Tensor::rand_uniform(&[n, c, h, w], -1.0, 1.0, rng);
+    let wt = Tensor::rand_uniform(&[m, c, 3, 3], -1.0, 1.0, rng);
+    let bias = Tensor::rand_uniform(&[m], -1.0, 1.0, rng);
+    let (oh, ow) = (
+        (h + 2 * pad - 3) / stride + 1,
+        (w + 2 * pad - 3) / stride + 1,
+    );
+    let mut y = Tensor::full(&[n, m, oh, ow], f32::NAN);
+    conv2d_into(&x, &wt, Some(&bias), stride, pad, &mut y).unwrap();
+    assert_bits_eq(
+        to_channel_major(&y).as_slice(),
+        &materialized_conv(&x, &wt, Some(&bias), stride, pad),
+        &format!("per-image conv2d_into {tag}"),
+    );
+}
+
+/// Checks the per-image `conv_transpose2d_into` on one geometry against
+/// the defining scatter: the textbook `Wᵀ · X` column matrix over the
+/// whole batch, folded by [`naive_col2im`], plus the bias.
+fn check_conv_transpose_case(
+    rng: &mut rand::rngs::StdRng,
+    (n, ci, h, w): (usize, usize, usize, usize),
+    o: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    tag: &str,
+) {
+    use leca_tensor::ops::{conv_transpose2d_grad_input, conv_transpose2d_into};
+    let x = Tensor::rand_uniform(&[n, ci, h, w], -1.0, 1.0, rng);
+    let wt = Tensor::rand_uniform(&[ci, o, k, k], -1.0, 1.0, rng);
+    let bias = Tensor::rand_uniform(&[o], -1.0, 1.0, rng);
+    let okk = o * k * k;
+    let wt_t: Vec<f32> = (0..okk * ci)
+        .map(|i| wt.as_slice()[(i % ci) * okk + i / ci])
+        .collect();
+    let wt_t = Tensor::from_vec(wt_t, &[okk, ci]).unwrap();
+    let cols = oracle_matmul(&wt_t, &to_channel_major(&x));
+    let (oh, ow) = (
+        (h - 1) * stride + k - 2 * pad,
+        (w - 1) * stride + k - 2 * pad,
+    );
+    let mut want = naive_col2im(&cols, n, o, oh, ow, k, stride, pad, h, w);
+    for (plane, i) in want.chunks_exact_mut(oh * ow).zip(0..) {
+        let b = bias.as_slice()[i % o];
+        plane.iter_mut().for_each(|v| *v += b);
+    }
+    let mut y = Tensor::full(&[n, o, oh, ow], f32::NAN);
+    conv_transpose2d_into(&x, &wt, Some(&bias), stride, pad, &mut y).unwrap();
+    assert_bits_eq(y.as_slice(), &want, &format!("conv_transpose2d_into {tag}"));
+
+    // Its input gradient is the convolution of the output gradient with
+    // the same kernel, read as a (Ci, O, k, k) conv weight.
+    let gy = Tensor::rand_uniform(&[n, o, oh, ow], -1.0, 1.0, rng);
+    let gx = conv_transpose2d_grad_input(&gy, &wt, stride, pad).unwrap();
+    assert_bits_eq(
+        to_channel_major(&gx).as_slice(),
+        &materialized_conv(&gy, &wt, None, stride, pad),
+        &format!("conv_transpose2d_grad_input {tag}"),
+    );
+}
+
+/// Two convolutions whose zero-padded images have the same size but a
+/// different `(c, h, w, pad)`, run back to back on a fresh thread: the
+/// second must not read the first one's data as its border.
+fn check_padded_geometry_switch(threads: &'static str) {
+    std::thread::spawn(move || {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        // Padded sizes: 2*6*8 = 2*8*6 = 3*4*8 = 96, then 1*8*8 = 64 twice.
+        let geoms = [
+            ((2, 4, 6), 1),
+            ((2, 6, 4), 1),
+            ((3, 2, 6), 1),
+            ((2, 4, 6), 1),
+            ((1, 4, 4), 2),
+            ((1, 6, 6), 1),
+        ];
+        for ((c, h, w), pad) in geoms {
+            let tag = format!("threads={threads} geometry switch c{c} h{h} w{w} p{pad}");
+            check_conv_forward_case(&mut rng, (1, c, h, w), 4, 1, pad, &tag);
+        }
+    })
+    .join()
+    .unwrap();
+}
+
 /// Bit-exact oracle for the fused convolution kernels: the virtual-im2col
 /// packers (stride-1 runs and the generic gather), the short-M and
 /// row-tile GEMM schedules and the run-wise col2im must reproduce the
 /// materialized-im2col matmuls and the defining scatter to the bit. The
 /// widths make runs cross panel, row and image edges (including `ow <
-/// NR`), and M spans both schedules. A decoder-sized layer closes each
-/// thread setting: it is the one large enough for the short-M schedule to
+/// NR`), and M spans both schedules. A decoder-sized layer closes the
+/// first sweep: it is the one large enough for the short-M schedule to
 /// split its column panels across two workers.
+///
+/// The per-image forward paths get their own sweep against textbook
+/// products (on a bit-exact backend). Batches of 1, 2 and 5 run the
+/// images one after another, on pool workers, or unevenly split. Output
+/// channels span short-M (1, 3, 16) and row tiles (33 to 96); at 2
+/// threads a 72-row single-image GEMM splits into chunks that a plain row
+/// split would start mid-tile. The 5x5 and 6x6 output grids leave a
+/// partial column panel per image; 12x12 fills its panels.
 #[test]
 fn fused_conv_kernels_match_materialized_im2col_bitwise() {
     use leca_tensor::parallel::refresh_num_threads;
     use rand::SeedableRng;
 
     let old = std::env::var("LECA_THREADS").ok();
-    for threads in ["1", "2"] {
+    for threads in ["1", "2", "3"] {
         std::env::set_var("LECA_THREADS", threads);
         refresh_num_threads();
         let mut rng = rand::rngs::StdRng::seed_from_u64(4321);
@@ -283,6 +426,37 @@ fn fused_conv_kernels_match_materialized_im2col_bitwise() {
         }
         let tag = format!("threads={threads} decoder layer");
         check_fused_conv_case(&mut rng, (4, 16, 24, 24), 16, 3, 1, 1, &tag);
+
+        for n in [1usize, 2, 5] {
+            for stride in [1usize, 2] {
+                for pad in [0usize, 1, 2] {
+                    for grid in [5usize, 6, 12] {
+                        // The input side that gives a `grid x grid` output.
+                        let side = (grid - 1) * stride + 3 - 2 * pad;
+                        for m in [1usize, 3, 16, 33, 48, 72, 96] {
+                            let tag =
+                                format!("threads={threads} n{n} s{stride} p{pad} grid{grid} m{m}");
+                            check_conv_forward_case(
+                                &mut rng,
+                                (n, 3, side, side),
+                                m,
+                                stride,
+                                pad,
+                                &tag,
+                            );
+                        }
+                    }
+                }
+            }
+            for (stride, k, pad) in [(2usize, 2usize, 0usize), (1, 2, 0), (1, 3, 1), (2, 3, 1)] {
+                for o in [1usize, 3, 16] {
+                    let tag =
+                        format!("threads={threads} n{n} transposed s{stride} k{k} p{pad} o{o}");
+                    check_conv_transpose_case(&mut rng, (n, 4, 5, 6), o, k, stride, pad, &tag);
+                }
+            }
+        }
+        check_padded_geometry_switch(threads);
     }
     match old {
         Some(v) => std::env::set_var("LECA_THREADS", v),
