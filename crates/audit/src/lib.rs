@@ -121,6 +121,10 @@ pub const UNSAFE_ALLOWLIST: &[(&str, &str)] = &[
         "counting GlobalAlloc delegating verbatim to System",
     ),
     (
+        "tests/capture_alloc.rs",
+        "counting GlobalAlloc delegating verbatim to System",
+    ),
+    (
         "crates/tensor/src/backend/qavx2.rs",
         "int8 AVX2 qgemm microkernel (bounds argued per load/store, Miri-exempt via cfg)",
     ),

@@ -7,10 +7,20 @@
 //! stable keys in `BENCH_kernels.json` — EXPERIMENTS.md quotes them, so
 //! renaming one is a breaking change to the published tables.
 
+use leca_circuit::adc::{AdcModel, AdcResolution};
+use leca_circuit::pe::{AnalogPe, BLOCK_PIXELS};
+use leca_circuit::scm::ScmModel;
+use leca_circuit::CircuitParams;
+use leca_core::config::LecaConfig;
+use leca_core::deploy::program_sensor;
+use leca_core::encoder::{LecaEncoder, Modality};
+use leca_sensor::energy::EnergyModel;
+use leca_sensor::timing::TimingModel;
+use leca_sensor::{LecaSensor, SensorGeometry};
 use leca_tensor::backend::{self, MR, NR};
 use leca_tensor::{ops, Tensor};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// One named, self-contained benchmark body.
 pub struct Workload {
@@ -48,7 +58,9 @@ impl std::fmt::Debug for Workload {
 
 /// The canonical single-threaded kernel set: raw microkernel, GEMM, convs
 /// (one generic, three at pipeline shapes), int8 GEMM and row softmax, at
-/// the geometries the published tables use.
+/// the geometries the published tables use, then the analog circuit and
+/// sensor models (SCM, ADC, one PE block, whole-frame capture, energy and
+/// timing).
 pub fn standard_kernels(seed: u64) -> Vec<Workload> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut set = Vec::new();
@@ -123,6 +135,121 @@ pub fn standard_kernels(seed: u64) -> Vec<Workload> {
         std::hint::black_box(ops::softmax_rows(&logits).expect("softmax"));
     }));
 
+    set.extend(sensor_kernels(&mut rng));
+    set
+}
+
+/// The analog circuit and sensor models: SCM recursion and its
+/// gradients, ADC quantization, one PE block, whole-frame capture (clean,
+/// normal-mode, and noisy at the deployed 96x96 geometry), and the energy
+/// and timing models. None of them calls a tensor kernel, so their
+/// backend columns differ only by run-to-run noise.
+fn sensor_kernels(rng: &mut StdRng) -> Vec<Workload> {
+    let params = CircuitParams::paper_65nm();
+    let mut set = Vec::new();
+
+    let scm = ScmModel::new(params.clone());
+    let vcm = params.vcm;
+    set.push(Workload::new("scm_mac_chain_16", 200_000, move || {
+        let mut v = vcm;
+        for i in 0..16u32 {
+            v = scm.step(v, 0.5 + i as f32 * 0.01, 60.0);
+        }
+        std::hint::black_box(v);
+    }));
+    let scm = ScmModel::new(params.clone());
+    set.push(Workload::new("scm_step_grads", 1_000_000, move || {
+        std::hint::black_box(scm.step_grads(0.58, 0.7, 60.0));
+    }));
+
+    let adc = AdcModel::new(AdcResolution::Sar(4), 0.35).expect("adc");
+    set.push(Workload::new("adc_quantize_4bit", 100_000, move || {
+        let mut acc = 0i32;
+        for i in 0..64 {
+            acc += adc.quantize(-0.35 + i as f32 * 0.011);
+        }
+        std::hint::black_box(acc);
+    }));
+
+    // One deterministic 4x4 block through the whole PE chain, four
+    // kernels in one pass.
+    let pe = AnalogPe::typical(&params, AdcResolution::Sar(3)).expect("pe");
+    let kernel = pe.resolve(&[7; BLOCK_PIXELS]).expect("weights");
+    let kernels = vec![kernel; 4];
+    let pixels: [f32; BLOCK_PIXELS] = std::array::from_fn(|i| i as f32 / 15.0);
+    set.push(Workload::new("pe_encode_block_4k", 20_000, move || {
+        std::hint::black_box(
+            pe.encode::<StdRng>(&pixels, &kernels, None)
+                .expect("encode"),
+        );
+    }));
+
+    // A 64x64 raw array (32x32 RGB), deterministic LeCA and normal modes.
+    let geom = SensorGeometry {
+        rows: 64,
+        cols: 64,
+        n_ch: 4,
+    };
+    let mut sensor = LecaSensor::new(geom, 3.0).expect("sensor");
+    sensor
+        .program_weights(vec![vec![7i32; 16]; 4])
+        .expect("weights");
+    let scene: Vec<f32> = (0..64 * 64).map(|i| (i % 64) as f32 / 63.0).collect();
+    let (s, sc) = (sensor.clone(), scene.clone());
+    set.push(Workload::new(
+        "sensor_capture_64x64_clean",
+        200,
+        move || {
+            std::hint::black_box(s.capture::<StdRng>(&sc, None).expect("capture"));
+        },
+    ));
+    set.push(Workload::new(
+        "sensor_capture_64x64_normal",
+        200,
+        move || {
+            std::hint::black_box(
+                sensor
+                    .capture_normal::<StdRng>(&scene, None)
+                    .expect("capture"),
+            );
+        },
+    ));
+
+    // The deployed capture: 48x48 RGB (96x96 raw) through a sensor
+    // programmed from a paper_for_cr(8) encoder, full noise chain, a
+    // fresh noise realisation every frame.
+    let cfg = LecaConfig::paper_for_cr(8).expect("config");
+    let enc = LecaEncoder::new(&cfg, Modality::Hard, 17).expect("encoder");
+    let sensor = program_sensor(&enc, 48, 48).expect("sensor");
+    let scene: Vec<f32> = (0..96 * 96).map(|_| rng.gen_range(0.0f32..1.0)).collect();
+    let mut noise = StdRng::seed_from_u64(rng.gen());
+    set.push(Workload::new("sensor_capture_96x96_noisy", 20, move || {
+        std::hint::black_box(sensor.capture(&scene, Some(&mut noise)).expect("capture"));
+    }));
+
+    let energy = EnergyModel::paper();
+    set.push(Workload::new(
+        "energy_model_full_sweep",
+        20_000,
+        move || {
+            let g4 = SensorGeometry::paper(8);
+            let g8 = SensorGeometry::paper(4);
+            std::hint::black_box((
+                energy.cnv_frame(448, 448).expect("cnv"),
+                energy.leca_frame(&g4, 3.0).expect("cr4"),
+                energy.leca_frame(&g8, 3.0).expect("cr8"),
+                energy.cs_frame(448, 448).expect("cs"),
+            ));
+        },
+    ));
+    let timing = TimingModel::paper();
+    set.push(Workload::new("timing_model", 1_000_000, move || {
+        std::hint::black_box((
+            timing.fps(&SensorGeometry::paper(4)),
+            timing.fps(&SensorGeometry::hd1080(4)),
+        ));
+    }));
+
     set
 }
 
@@ -144,6 +271,15 @@ mod tests {
                 "conv2d_32x96x6x6_to96_3x3",
                 "qgemm_64x144x4096",
                 "softmax_rows_256x1000",
+                "scm_mac_chain_16",
+                "scm_step_grads",
+                "adc_quantize_4bit",
+                "pe_encode_block_4k",
+                "sensor_capture_64x64_clean",
+                "sensor_capture_64x64_normal",
+                "sensor_capture_96x96_noisy",
+                "energy_model_full_sweep",
+                "timing_model",
             ]
         );
     }

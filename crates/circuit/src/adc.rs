@@ -7,7 +7,7 @@
 //! central symmetry explicitly). In normal sensing mode the same ADC runs at
 //! 8 bit on single-ended pixel values.
 
-use crate::psf::gaussian;
+use crate::noise::{box_muller, ziggurat};
 use crate::{CircuitError, Result};
 use rand::Rng;
 
@@ -114,7 +114,7 @@ impl AdcModel {
         rng: &mut R,
     ) -> Result<Self> {
         let mut adc = AdcModel::new(resolution, v_fs)?;
-        adc.offset = 4.0e-4 * gaussian(rng);
+        adc.offset = 4.0e-4 * box_muller(rng);
         adc.noise_sigma = 2.5e-4;
         Ok(adc)
     }
@@ -169,9 +169,14 @@ impl AdcModel {
         }
     }
 
-    /// Quantizes with comparator noise sampled from `rng`.
+    /// Quantizes with comparator noise, one [`ziggurat`] draw from `rng`
+    /// (a per-capture stream). A noiseless comparator (the ideal ADC of
+    /// [`AdcModel::new`]) draws nothing.
     pub fn quantize_noisy<R: Rng + ?Sized>(&self, v_diff: f32, rng: &mut R) -> i32 {
-        self.quantize(v_diff + self.noise_sigma * gaussian(rng))
+        if self.noise_sigma == 0.0 {
+            return self.quantize(v_diff);
+        }
+        self.quantize(v_diff + self.noise_sigma * ziggurat(rng))
     }
 
     /// Reconstruction voltage of a code (the dequantization the decoder

@@ -5,8 +5,8 @@
 //! is affine and the device model adds compression near the rails plus
 //! mismatch and thermal noise.
 
+use crate::noise::{box_muller, ziggurat};
 use crate::params::CircuitParams;
-use crate::psf::gaussian;
 use crate::{CircuitError, Result};
 use rand::Rng;
 
@@ -76,8 +76,8 @@ impl FvfDevice {
     /// Samples a Monte-Carlo mismatch instance.
     pub fn sample<R: Rng + ?Sized>(params: &CircuitParams, rng: &mut R) -> Self {
         let mut d = FvfDevice::typical(params);
-        d.gain_err = SIGMA_GAIN * gaussian(rng);
-        d.offset_err = SIGMA_OFFSET * gaussian(rng);
+        d.gain_err = SIGMA_GAIN * box_muller(rng);
+        d.offset_err = SIGMA_OFFSET * box_muller(rng);
         d
     }
 
@@ -105,14 +105,15 @@ impl FvfDevice {
         Ok(lin + NONLIN_COEFF * d * d * d)
     }
 
-    /// Noisy device transfer.
+    /// Noisy device transfer: one [`ziggurat`] draw (a per-capture
+    /// stream).
     ///
     /// # Errors
     ///
     /// See [`FvfDevice::transfer`].
     pub fn transfer_noisy<R: Rng + ?Sized>(&self, v_in: f32, rng: &mut R) -> Result<f32> {
         let clean = self.transfer(v_in)?;
-        Ok(clean + self.noise_sigma(v_in) * gaussian(rng))
+        Ok(clean + self.noise_sigma(v_in) * ziggurat(rng))
     }
 
     /// Input-dependent noise sigma (V).

@@ -10,12 +10,24 @@
 
 use crate::adc::{AdcModel, AdcResolution};
 use crate::fvf::FvfDevice;
-use crate::noise::ktc_noise_v;
+use crate::noise::{ktc_noise_v, ziggurat};
 use crate::params::CircuitParams;
-use crate::psf::{gaussian, PsfDevice};
+use crate::psf::PsfDevice;
 use crate::scm::ScmDevice;
 use crate::{CircuitError, Result};
 use rand::Rng;
+
+/// Pixel columns one PE serves (= i-buffers per PE), and so the side of
+/// the raw-Bayer block it encodes — fixed to 4 by the paper's design
+/// (Sec. 4.1).
+pub const BLOCK_SIDE: usize = 4;
+
+/// Raw pixels in one PE block.
+pub const BLOCK_PIXELS: usize = BLOCK_SIDE * BLOCK_SIDE;
+
+/// Kernels a PE holds at once, one differential o-buffer pair each; more
+/// kernels need repetitive readout (Sec. 4.2 step ④).
+pub const KERNELS_PER_PASS: usize = 4;
 
 /// Default full-scale differential voltage of the ofmap ADC.
 ///
@@ -33,6 +45,25 @@ pub struct AnalogPe {
     scm: ScmDevice,
     fvf: FvfDevice,
     adc: AdcModel,
+}
+
+/// How one weight code drives the SCM.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tap {
+    /// Zero code: no MAC cycle.
+    Off,
+    /// Positive code: charge onto the positive o-buffer through this
+    /// loaded capacitance (fF).
+    Pos(f32),
+    /// Negative code: charge onto the negative o-buffer.
+    Neg(f32),
+}
+
+/// One 4x4 kernel resolved against a PE's capacitor bank by
+/// [`AnalogPe::resolve`]; valid only for the PE that resolved it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockKernel {
+    taps: [Tap; BLOCK_PIXELS],
 }
 
 impl AnalogPe {
@@ -85,111 +116,109 @@ impl AnalogPe {
         self.adc.set_v_fs(v_fs)
     }
 
-    /// Encodes one pixel block through the full analog chain.
-    ///
-    /// * `pixels` — normalized `[0, 1]` raw-Bayer values, row-major, one
-    ///   block of `rows x width` (the paper's block is 4x4).
-    /// * `width` — pixels per row (= i-buffer count = 4 in the paper).
-    /// * `weights` — per kernel, one signed weight code per pixel
-    ///   (`±(2^mag_bits − 1)` max magnitude), same layout as `pixels`.
-    /// * `rng` — `Some` enables the stochastic noise sources (noisy mode);
-    ///   `None` runs the deterministic device model.
-    ///
-    /// Returns one signed ADC code per kernel.
+    /// Resolves one 4x4 kernel of signed weight codes (row-major, one per
+    /// block pixel) against this PE's capacitor bank: each code's sign
+    /// picks the o-buffer its charge goes to and its magnitude the
+    /// capacitance it connects, mismatch and transfer loss included. The
+    /// sensor does this once per programming or fault-plan change.
     ///
     /// # Errors
     ///
-    /// Returns [`CircuitError::InvalidConfig`] for layout mismatches and
-    /// propagates stage errors.
-    pub fn encode_block<R: Rng + ?Sized>(
-        &self,
-        pixels: &[f32],
-        width: usize,
-        weights: &[Vec<i32>],
-        mut rng: Option<&mut R>,
-    ) -> Result<Vec<i32>> {
-        if width == 0 || !pixels.len().is_multiple_of(width) {
-            return Err(CircuitError::InvalidConfig(format!(
-                "pixel block of {} values is not rows x {width}",
-                pixels.len()
-            )));
-        }
-        for (k, w) in weights.iter().enumerate() {
-            if w.len() != pixels.len() {
-                return Err(CircuitError::InvalidConfig(format!(
-                    "kernel {k} has {} weights for {} pixels",
-                    w.len(),
-                    pixels.len()
-                )));
+    /// Returns [`CircuitError::WeightCodeOutOfRange`] for a magnitude
+    /// beyond the SCM precision.
+    pub fn resolve(&self, codes: &[i32; BLOCK_PIXELS]) -> Result<BlockKernel> {
+        let mut taps = [Tap::Off; BLOCK_PIXELS];
+        for (tap, &w) in taps.iter_mut().zip(codes) {
+            if w != 0 {
+                let cs = self.scm.loaded_csample(w.unsigned_abs())?;
+                *tap = if w > 0 { Tap::Pos(cs) } else { Tap::Neg(cs) };
             }
         }
-        let rows = pixels.len() / width;
-        let max_code = self.params.max_weight_code();
+        Ok(BlockKernel { taps })
+    }
+
+    /// Encodes one 4x4 pixel block through the full analog chain, for up
+    /// to [`KERNELS_PER_PASS`] kernels at once.
+    ///
+    /// * `pixels` — normalized `[0, 1]` raw-Bayer values, row-major.
+    /// * `kernels` — kernels [`AnalogPe::resolve`]d by this PE.
+    /// * `rng` — `Some` enables the stochastic noise sources (noisy mode);
+    ///   `None` runs the deterministic device model.
+    ///
+    /// Returns one signed ADC code per kernel, in the first
+    /// `kernels.len()` entries.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::InvalidConfig`] for more kernels than
+    /// o-buffer pairs and propagates stage range errors.
+    pub fn encode<R: Rng + ?Sized>(
+        &self,
+        pixels: &[f32; BLOCK_PIXELS],
+        kernels: &[BlockKernel],
+        mut rng: Option<&mut R>,
+    ) -> Result<[i32; KERNELS_PER_PASS]> {
+        if kernels.len() > KERNELS_PER_PASS {
+            return Err(CircuitError::InvalidConfig(format!(
+                "{} kernels in one pass, the PE holds {KERNELS_PER_PASS}",
+                kernels.len()
+            )));
+        }
+        let p = &self.params;
+        let ktc_sigma = ktc_noise_v(p.c_ibuf_ff);
+        let (lo, hi) = self.psf.input_window();
 
         // Differential o-buffers per kernel, reset to VCM.
-        let mut vp = vec![self.params.vcm; weights.len()];
-        let mut vn = vec![self.params.vcm; weights.len()];
+        let mut vp = [p.vcm; KERNELS_PER_PASS];
+        let mut vn = [p.vcm; KERNELS_PER_PASS];
 
         // Input-stationary dataflow: buffer one ifmap row, sweep kernels.
-        for r in 0..rows {
-            // i-buffer sampling (kTC noise when noisy).
-            let mut row_v = Vec::with_capacity(width);
-            for c in 0..width {
-                let x = pixels[r * width + c].clamp(0.0, 1.0);
-                let mut v = self.params.pixel_to_voltage(x);
+        for (r, row) in pixels.chunks_exact(BLOCK_SIDE).enumerate() {
+            // i-buffer sampling (kTC noise when noisy), then the PSF
+            // buffers each i-buffer voltage into the SCM.
+            let mut row_v = [0.0f32; BLOCK_SIDE];
+            for (buffered, &x) in row_v.iter_mut().zip(row) {
+                let mut v = p.pixel_to_voltage(x.clamp(0.0, 1.0));
                 if let Some(rng) = rng.as_deref_mut() {
-                    v += ktc_noise_v(self.params.c_ibuf_ff) * gaussian(rng);
+                    v += ktc_sigma * ziggurat(rng);
                 }
-                // PSF buffers the i-buffer voltage into the SCM.
-                let (lo, hi) = self.psf.input_window();
                 let v = v.clamp(lo, hi);
-                let buffered = match rng.as_deref_mut() {
+                *buffered = match rng.as_deref_mut() {
                     Some(rng) => self.psf.transfer_noisy(v, rng)?,
                     None => self.psf.transfer(v)?,
                 };
-                row_v.push(buffered);
             }
             // Consecutive MACs: kernel-by-kernel, cycling the i-buffers.
-            for (k, kernel) in weights.iter().enumerate() {
-                for (c, &vin) in row_v.iter().enumerate() {
-                    let w = kernel[r * width + c];
-                    if w == 0 {
-                        continue;
-                    }
-                    let mag = w.unsigned_abs().min(max_code as u32);
-                    let acc = if w > 0 { &mut vp[k] } else { &mut vn[k] };
+            for (k, kernel) in kernels.iter().enumerate() {
+                let taps = &kernel.taps[r * BLOCK_SIDE..(r + 1) * BLOCK_SIDE];
+                for (&tap, &vin) in taps.iter().zip(&row_v) {
+                    let (acc, cs) = match tap {
+                        Tap::Off => continue,
+                        Tap::Pos(cs) => (&mut vp[k], cs),
+                        Tap::Neg(cs) => (&mut vn[k], cs),
+                    };
                     *acc = match rng.as_deref_mut() {
-                        Some(rng) => self.scm.step_noisy(*acc, vin, mag, rng)?,
-                        None => self.scm.step(*acc, vin, mag)?,
+                        Some(rng) => self.scm.mac_noisy(*acc, vin, cs, rng),
+                        None => self.scm.mac(*acc, vin, cs),
                     };
                 }
             }
         }
 
         // FVF + differential ADC per kernel.
-        let mut codes = Vec::with_capacity(weights.len());
-        for k in 0..weights.len() {
-            let (bp, bn) = match rng.as_deref_mut() {
+        let mut codes = [0i32; KERNELS_PER_PASS];
+        for (k, code) in codes.iter_mut().enumerate().take(kernels.len()) {
+            let (p_in, n_in) = (vp[k].clamp(0.0, p.vdd), vn[k].clamp(0.0, p.vdd));
+            *code = match rng.as_deref_mut() {
                 Some(rng) => {
-                    let bp = self
-                        .fvf
-                        .transfer_noisy(vp[k].clamp(0.0, self.params.vdd), rng)?;
-                    let bn = self
-                        .fvf
-                        .transfer_noisy(vn[k].clamp(0.0, self.params.vdd), rng)?;
-                    (bp, bn)
+                    let bp = self.fvf.transfer_noisy(p_in, rng)?;
+                    let bn = self.fvf.transfer_noisy(n_in, rng)?;
+                    self.adc.quantize_noisy(bp - bn, rng)
                 }
-                None => {
-                    let bp = self.fvf.transfer(vp[k].clamp(0.0, self.params.vdd))?;
-                    let bn = self.fvf.transfer(vn[k].clamp(0.0, self.params.vdd))?;
-                    (bp, bn)
-                }
+                None => self
+                    .adc
+                    .quantize(self.fvf.transfer(p_in)? - self.fvf.transfer(n_in)?),
             };
-            let code = match rng.as_deref_mut() {
-                Some(rng) => self.adc.quantize_noisy(bp - bn, rng),
-                None => self.adc.quantize(bp - bn),
-            };
-            codes.push(code);
         }
         Ok(codes)
     }
@@ -225,27 +254,29 @@ mod tests {
         .unwrap()
     }
 
+    /// Deterministic codes of `pixels` under kernels of uniform weights.
+    fn codes(pe: &AnalogPe, pixels: &[f32; BLOCK_PIXELS], weights: &[i32]) -> Vec<i32> {
+        let kernels: Vec<BlockKernel> = weights
+            .iter()
+            .map(|&w| pe.resolve(&[w; BLOCK_PIXELS]).unwrap())
+            .collect();
+        pe.encode::<StdRng>(pixels, &kernels, None).unwrap()[..kernels.len()].to_vec()
+    }
+
+    fn ramp() -> [f32; BLOCK_PIXELS] {
+        std::array::from_fn(|i| i as f32 / 15.0)
+    }
+
     #[test]
     fn zero_weights_give_zero_code() {
-        let pe = pe(4.0);
-        let pixels = vec![0.5; 16];
-        let weights = vec![vec![0i32; 16]];
-        let codes = pe
-            .encode_block::<StdRng>(&pixels, 4, &weights, None)
-            .unwrap();
-        assert_eq!(codes, vec![0]);
+        assert_eq!(codes(&pe(4.0), &[0.5; 16], &[0]), vec![0]);
     }
 
     #[test]
     fn positive_weights_respond_to_brightness() {
         let pe = pe(4.0);
-        let weights = vec![vec![8i32; 16]];
-        let dark = pe
-            .encode_block::<StdRng>(&[0.05; 16], 4, &weights, None)
-            .unwrap()[0];
-        let bright = pe
-            .encode_block::<StdRng>(&[0.95; 16], 4, &weights, None)
-            .unwrap()[0];
+        let dark = codes(&pe, &[0.05; 16], &[8])[0];
+        let bright = codes(&pe, &[0.95; 16], &[8])[0];
         // Charge-domain MAC inverts: brighter pixels pull the accumulator
         // down (2·V_CM − V_in), so the bright code is lower.
         assert!(bright < dark, "bright {bright} !< dark {dark}");
@@ -254,50 +285,31 @@ mod tests {
 
     #[test]
     fn negated_weights_mirror_the_code() {
-        let pe = pe(4.0);
-        let wpos = vec![vec![9i32; 16]];
-        let wneg = vec![vec![-9i32; 16]];
-        let pixels: Vec<f32> = (0..16).map(|i| i as f32 / 15.0).collect();
-        let cp = pe.encode_block::<StdRng>(&pixels, 4, &wpos, None).unwrap()[0];
-        let cn = pe.encode_block::<StdRng>(&pixels, 4, &wneg, None).unwrap()[0];
+        let c = codes(&pe(4.0), &ramp(), &[9, -9]);
         // Sign routing swaps the differential pair: codes mirror to within
         // one LSB (charge injection is common-mode but transfer loss isn't
         // perfectly symmetric).
-        assert!((cp + cn).abs() <= 1, "{cp} vs {cn}");
+        assert!((c[0] + c[1]).abs() <= 1, "{} vs {}", c[0], c[1]);
     }
 
     #[test]
     fn multiple_kernels_processed_together() {
-        let pe = pe(4.0);
-        let pixels: Vec<f32> = (0..16).map(|i| (i % 4) as f32 / 4.0).collect();
-        let weights = vec![
-            vec![5i32; 16],
-            vec![-5i32; 16],
-            vec![0i32; 16],
-            vec![12i32; 16],
-        ];
-        let codes = pe
-            .encode_block::<StdRng>(&pixels, 4, &weights, None)
-            .unwrap();
-        assert_eq!(codes.len(), 4);
-        assert_eq!(codes[2], 0);
-        assert!((codes[0] + codes[1]).abs() <= 1);
+        let pixels: [f32; BLOCK_PIXELS] = std::array::from_fn(|i| (i % 4) as f32 / 4.0);
+        let c = codes(&pe(4.0), &pixels, &[5, -5, 0, 12]);
+        assert_eq!(c.len(), 4);
+        assert_eq!(c[2], 0);
+        assert!((c[0] + c[1]).abs() <= 1);
     }
 
     #[test]
     fn noisy_mode_dithers_but_tracks_clean() {
         let pe = pe(4.0);
-        let pixels = vec![0.4; 16];
-        let weights = vec![vec![10i32; 16]];
-        let clean = pe
-            .encode_block::<StdRng>(&pixels, 4, &weights, None)
-            .unwrap()[0];
+        let pixels = [0.4; BLOCK_PIXELS];
+        let kernel = [pe.resolve(&[10; BLOCK_PIXELS]).unwrap()];
+        let clean = pe.encode::<StdRng>(&pixels, &kernel, None).unwrap()[0];
         let mut rng = StdRng::seed_from_u64(0);
         let noisy: Vec<i32> = (0..50)
-            .map(|_| {
-                pe.encode_block(&pixels, 4, &weights, Some(&mut rng))
-                    .unwrap()[0]
-            })
+            .map(|_| pe.encode(&pixels, &kernel, Some(&mut rng)).unwrap()[0])
             .collect();
         let mean: f32 = noisy.iter().map(|&c| c as f32).sum::<f32>() / noisy.len() as f32;
         assert!(
@@ -309,29 +321,29 @@ mod tests {
     #[test]
     fn ternary_mode_emits_signs() {
         let pe = pe(1.5);
-        let weights = vec![vec![15i32; 16]];
-        let dark = pe
-            .encode_block::<StdRng>(&[0.0; 16], 4, &weights, None)
-            .unwrap()[0];
-        let bright = pe
-            .encode_block::<StdRng>(&[1.0; 16], 4, &weights, None)
-            .unwrap()[0];
-        assert_eq!(dark, 1);
-        assert_eq!(bright, -1);
+        assert_eq!(codes(&pe, &[0.0; 16], &[15]), vec![1]);
+        assert_eq!(codes(&pe, &[1.0; 16], &[15]), vec![-1]);
     }
 
     #[test]
-    fn layout_validation() {
+    fn weight_codes_and_kernel_counts_are_bounded() {
         let pe = pe(4.0);
-        assert!(pe
-            .encode_block::<StdRng>(&[0.5; 15], 4, &[vec![0; 15]], None)
-            .is_err());
-        assert!(pe
-            .encode_block::<StdRng>(&[0.5; 16], 4, &[vec![0; 12]], None)
-            .is_err());
-        assert!(pe
-            .encode_block::<StdRng>(&[0.5; 16], 0, &[vec![0; 16]], None)
-            .is_err());
+        let mut w = [0i32; BLOCK_PIXELS];
+        w[3] = -15;
+        assert!(pe.resolve(&w).is_ok());
+        for bad in [16, -16, i32::MIN] {
+            w[3] = bad;
+            assert!(matches!(
+                pe.resolve(&w),
+                Err(CircuitError::WeightCodeOutOfRange { .. })
+            ));
+        }
+        let kernel = pe.resolve(&[1; BLOCK_PIXELS]).unwrap();
+        let five = vec![kernel; KERNELS_PER_PASS + 1];
+        assert!(matches!(
+            pe.encode::<StdRng>(&[0.5; 16], &five, None),
+            Err(CircuitError::InvalidConfig(_))
+        ));
     }
 
     #[test]
@@ -345,15 +357,8 @@ mod tests {
         let mut any_differ = false;
         for w in [3i32, 7, 11, 15] {
             for base in [0.1f32, 0.35, 0.6, 0.85] {
-                let pixels: Vec<f32> = (0..16).map(|i| base + i as f32 / 160.0).collect();
-                let weights = vec![vec![w; 16]];
-                let ca = a
-                    .encode_block::<StdRng>(&pixels, 4, &weights, None)
-                    .unwrap();
-                let cb = b
-                    .encode_block::<StdRng>(&pixels, 4, &weights, None)
-                    .unwrap();
-                any_differ |= ca != cb;
+                let pixels = std::array::from_fn(|i| base + i as f32 / 160.0);
+                any_differ |= codes(&a, &pixels, &[w]) != codes(&b, &pixels, &[w]);
             }
         }
         assert!(any_differ, "mismatch never changed an 8-bit code");
@@ -378,15 +383,9 @@ mod tests {
     #[test]
     fn trained_vfs_changes_codes() {
         let mut pe = pe(4.0);
-        let pixels = vec![0.15; 16];
-        let weights = vec![vec![6i32; 16]];
-        let before = pe
-            .encode_block::<StdRng>(&pixels, 4, &weights, None)
-            .unwrap()[0];
+        let before = codes(&pe, &[0.15; 16], &[6])[0];
         pe.set_adc_vfs(0.08).unwrap();
-        let after = pe
-            .encode_block::<StdRng>(&pixels, 4, &weights, None)
-            .unwrap()[0];
+        let after = codes(&pe, &[0.15; 16], &[6])[0];
         assert!(after.abs() >= before.abs());
         assert!(pe.set_adc_vfs(-1.0).is_err());
     }

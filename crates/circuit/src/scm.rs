@@ -19,8 +19,8 @@
 //! chain); [`ScmDevice`] adds switch charge injection, incomplete-transfer
 //! gain error and per-code capacitor mismatch.
 
+use crate::noise::{box_muller, ziggurat};
 use crate::params::CircuitParams;
-use crate::psf::gaussian;
 use crate::{CircuitError, Result};
 use rand::Rng;
 
@@ -127,7 +127,7 @@ impl ScmDevice {
         let mut d = ScmDevice::typical(params);
         let bits = params.weight_mag_bits as usize;
         // One error per binary-weighted unit in the capacitor DAC.
-        let unit_errs: Vec<f32> = (0..bits).map(|_| SIGMA_CAP * gaussian(rng)).collect();
+        let unit_errs: Vec<f32> = (0..bits).map(|_| SIGMA_CAP * box_muller(rng)).collect();
         for code in 0..d.cap_err.len() {
             let mut total = 0.0f32;
             let mut weight_sum = 0.0f32;
@@ -159,24 +159,52 @@ impl ScmDevice {
         nominal * (1.0 + err)
     }
 
-    /// One noiseless device MAC cycle.
+    /// The capacitance (fF) a magnitude code actually transfers through:
+    /// the mismatched bank value less the parasitic transfer loss. The PE
+    /// resolves this once per programmed weight, not once per MAC.
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::WeightCodeOutOfRange`] for illegal codes.
-    pub fn step(&self, v_out_prev: f32, v_in: f32, magnitude: u32) -> Result<f32> {
+    pub(crate) fn loaded_csample(&self, magnitude: u32) -> Result<f32> {
         if magnitude > self.model.params().max_weight_code() as u32 {
             return Err(CircuitError::WeightCodeOutOfRange {
                 code: magnitude as i32,
                 max_magnitude: self.model.params().max_weight_code(),
             });
         }
+        Ok(self.effective_csample(magnitude) * (1.0 - self.transfer_loss))
+    }
+
+    /// One noiseless MAC cycle of a nonzero code whose capacitance
+    /// [`ScmDevice::loaded_csample`] resolved.
+    pub(crate) fn mac(&self, v_out_prev: f32, v_in: f32, cs: f32) -> f32 {
+        self.model.step(v_out_prev, v_in, cs) + self.charge_injection
+    }
+
+    /// [`ScmDevice::mac`] plus the per-step kTC/switch noise, one
+    /// [`ziggurat`] draw (a per-capture stream).
+    pub(crate) fn mac_noisy<R: Rng + ?Sized>(
+        &self,
+        v_out_prev: f32,
+        v_in: f32,
+        cs: f32,
+        rng: &mut R,
+    ) -> f32 {
+        self.mac(v_out_prev, v_in, cs) + STEP_NOISE * ziggurat(rng)
+    }
+
+    /// One noiseless device MAC cycle.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::WeightCodeOutOfRange`] for illegal codes.
+    pub fn step(&self, v_out_prev: f32, v_in: f32, magnitude: u32) -> Result<f32> {
+        let cs = self.loaded_csample(magnitude)?;
         if magnitude == 0 {
             return Ok(v_out_prev);
         }
-        let cs = self.effective_csample(magnitude) * (1.0 - self.transfer_loss);
-        let ideal = self.model.step(v_out_prev, v_in, cs);
-        Ok(ideal + self.charge_injection)
+        Ok(self.mac(v_out_prev, v_in, cs))
     }
 
     /// One noisy device MAC cycle (adds per-step kTC/switch noise).
@@ -191,11 +219,11 @@ impl ScmDevice {
         magnitude: u32,
         rng: &mut R,
     ) -> Result<f32> {
-        let clean = self.step(v_out_prev, v_in, magnitude)?;
+        let cs = self.loaded_csample(magnitude)?;
         if magnitude == 0 {
-            return Ok(clean);
+            return Ok(v_out_prev);
         }
-        Ok(clean + STEP_NOISE * gaussian(rng))
+        Ok(self.mac_noisy(v_out_prev, v_in, cs, rng))
     }
 
     /// Output-referred per-step noise sigma (V).

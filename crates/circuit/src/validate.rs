@@ -9,7 +9,7 @@
 use crate::adc::{AdcModel, AdcResolution};
 use crate::fvf::FvfModel;
 use crate::params::CircuitParams;
-use crate::pe::AnalogPe;
+use crate::pe::{AnalogPe, BLOCK_PIXELS};
 use crate::psf::PsfModel;
 use crate::scm::ScmModel;
 use crate::Result;
@@ -68,13 +68,12 @@ fn ideal_chain(params: &CircuitParams, pixel: f32, w_code: u32, n_macs: usize) -
 }
 
 /// Device-accurate chain through [`AnalogPe`] (typical corner — the SPICE
-/// stand-in).
-fn device_chain(params: &CircuitParams, pixel: f32, w_code: u32, n_macs: usize) -> Result<i32> {
+/// stand-in), one MAC per pixel of a uniform 4x4 block.
+fn device_chain(params: &CircuitParams, pixel: f32, w_code: u32) -> Result<i32> {
     let mut pe = AnalogPe::typical(params, AdcResolution::Sar(4))?;
     pe.set_adc_vfs(FIG8_VFS)?;
-    let pixels = vec![pixel; n_macs];
-    let weights = vec![vec![w_code as i32; n_macs]];
-    let codes = pe.encode_block::<StdRng>(&pixels, 4, &weights, None)?;
+    let kernel = pe.resolve(&[w_code as i32; BLOCK_PIXELS])?;
+    let codes = pe.encode::<StdRng>(&[pixel; BLOCK_PIXELS], &[kernel], None)?;
     Ok(codes[0])
 }
 
@@ -92,8 +91,8 @@ pub fn fig8_sweep(params: &CircuitParams) -> Result<ValidationSweep> {
     for wi in 1..=params.max_weight_code() as u32 {
         for pi in 0..=16 {
             let pixel = pi as f32 / 16.0;
-            let ideal = ideal_chain(params, pixel, wi, 16)?;
-            let device = device_chain(params, pixel, wi, 16)?;
+            let ideal = ideal_chain(params, pixel, wi, BLOCK_PIXELS)?;
+            let device = device_chain(params, pixel, wi)?;
             // Offset-binary presentation, clipped to the paper's 0–7 plot
             // range.
             let p = ValidationPoint {

@@ -7,7 +7,7 @@
 use crate::geometry::SensorGeometry;
 use crate::{Result, SensorError};
 use leca_circuit::fault::FaultPlan;
-use leca_circuit::noise::PixelNoise;
+use leca_circuit::noise::{ziggurat, PixelNoise};
 use rand::Rng;
 
 /// The pixel plane: geometry plus the noise operating point.
@@ -58,7 +58,8 @@ impl PixelArray {
     }
 
     /// Exposes the array to `scene` (row-major, `rows*cols` values in
-    /// `[0, 1]`), returning sampled pixel values.
+    /// `[0, 1]`), returning sampled pixel values. The shot and read noise
+    /// draws are [`ziggurat`] draws, two per pixel.
     ///
     /// # Errors
     ///
@@ -71,7 +72,10 @@ impl PixelArray {
                 actual: scene.len(),
             });
         }
-        let mut out: Vec<f32> = scene.iter().map(|&x| self.noise.apply(x, rng)).collect();
+        let mut out: Vec<f32> = scene
+            .iter()
+            .map(|&x| self.noise.perturb(x, || ziggurat(rng)))
+            .collect();
         self.apply_faults(&mut out);
         Ok(out)
     }

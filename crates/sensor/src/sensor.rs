@@ -7,12 +7,9 @@ use crate::timing::TimingModel;
 use crate::{Result, SensorError};
 use leca_circuit::adc::AdcResolution;
 use leca_circuit::fault::FaultPlan;
-use leca_circuit::pe::AnalogPe;
+use leca_circuit::pe::{AnalogPe, BlockKernel, BLOCK_PIXELS};
 use leca_circuit::CircuitParams;
 use rand::Rng;
-
-/// Raw pixels per PE block (4x4).
-const BLOCK_PIXELS: usize = COLUMNS_PER_PE * COLUMNS_PER_PE;
 
 /// The encoded output feature map: signed ADC codes laid out
 /// `(n_ch, oh, ow)` row-major.
@@ -78,9 +75,10 @@ pub struct LecaSensor {
     pes: Vec<AnalogPe>,
     /// Weights as programmed (pristine codes).
     weights: Option<Vec<Vec<i32>>>,
-    /// Weights as stored in the (possibly faulty) SRAM: `weights` with the
-    /// fault plan's bit flips applied. What `capture` actually uses.
-    effective_weights: Option<Vec<Vec<i32>>>,
+    /// Weights as stored in the (possibly faulty) SRAM — `weights` with
+    /// the fault plan's bit flips applied — resolved against each PE's
+    /// capacitor bank: `kernels[pe][k]`. What `capture` actually uses.
+    kernels: Option<Vec<Vec<BlockKernel>>>,
     /// Permanent hardware defects; [`FaultPlan::none`] by default.
     faults: FaultPlan,
 }
@@ -103,7 +101,7 @@ impl LecaSensor {
             pixels: PixelArray::new(&geometry),
             pes: vec![AnalogPe::typical(&params, resolution)?],
             weights: None,
-            effective_weights: None,
+            kernels: None,
             faults: FaultPlan::none(),
         })
     }
@@ -133,7 +131,7 @@ impl LecaSensor {
             pixels: PixelArray::new(&geometry),
             pes,
             weights: None,
-            effective_weights: None,
+            kernels: None,
             faults: FaultPlan::none(),
         })
     }
@@ -166,22 +164,27 @@ impl LecaSensor {
     pub fn set_fault_plan(&mut self, faults: FaultPlan) {
         self.pixels = self.pixels.clone().with_faults(faults.clone());
         self.faults = faults;
-        self.effective_weights = self.weights.as_ref().map(|w| self.faulted_weights(w));
+        let kernels = self.weights.as_ref().map(|w| {
+            self.stored_kernels(w)
+                .expect("programmed codes were validated and bit flips stay within the precision")
+        });
+        self.kernels = kernels;
     }
 
-    /// Applies the plan's SRAM bit flips to pristine weight codes.
-    fn faulted_weights(&self, weights: &[Vec<i32>]) -> Vec<Vec<i32>> {
+    /// Applies the plan's SRAM bit flips to pristine weight codes and
+    /// resolves the stored codes against every PE.
+    fn stored_kernels(&self, weights: &[Vec<i32>]) -> Result<Vec<Vec<BlockKernel>>> {
         let max = CircuitParams::paper_65nm().max_weight_code();
-        weights
+        let stored: Vec<[i32; BLOCK_PIXELS]> = weights
             .iter()
             .enumerate()
             .map(|(k, kernel)| {
-                kernel
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, &code)| self.faults.weight_code(k, pos, code, max))
-                    .collect()
+                std::array::from_fn(|pos| self.faults.weight_code(k, pos, kernel[pos], max))
             })
+            .collect();
+        self.pes
+            .iter()
+            .map(|pe| stored.iter().map(|codes| Ok(pe.resolve(codes)?)).collect())
             .collect()
     }
 
@@ -217,7 +220,7 @@ impl LecaSensor {
                 )));
             }
         }
-        self.effective_weights = Some(self.faulted_weights(&weights));
+        self.kernels = Some(self.stored_kernels(&weights)?);
         self.weights = Some(weights);
         Ok(())
     }
@@ -242,11 +245,13 @@ impl LecaSensor {
         ofmap.codes.iter().map(|&c| adc.dequantize(c)).collect()
     }
 
-    fn pe_for_column(&self, gx: usize) -> &AnalogPe {
+    /// The PE serving column group `gx`: its own instance when mismatch
+    /// is enabled, else the shared typical-corner one.
+    fn pe_index(&self, gx: usize) -> usize {
         if self.pes.len() == 1 {
-            &self.pes[0]
+            0
         } else {
-            &self.pes[gx]
+            gx
         }
     }
 
@@ -267,8 +272,8 @@ impl LecaSensor {
         scene: &[f32],
         mut rng: Option<&mut R>,
     ) -> Result<(Ofmap, FrameStats)> {
-        let weights = self
-            .effective_weights
+        let kernels = self
+            .kernels
             .as_ref()
             .ok_or_else(|| SensorError::WeightShapeMismatch("no weights programmed".into()))?;
         let has_faults = !self.faults.is_none();
@@ -300,11 +305,11 @@ impl LecaSensor {
                             };
                     }
                 }
-                let pe = self.pe_for_column(gx);
+                let pe = self.pe_index(gx);
                 // Repetitive readout: kernels in chunks of 4 per pass.
-                for (pass, chunk) in weights.chunks(KERNELS_PER_PASS).enumerate() {
-                    let out = pe.encode_block(&block, COLUMNS_PER_PE, chunk, rng.as_deref_mut())?;
-                    for (i, &code) in out.iter().enumerate() {
+                for (pass, chunk) in kernels[pe].chunks(KERNELS_PER_PASS).enumerate() {
+                    let out = self.pes[pe].encode(&block, chunk, rng.as_deref_mut())?;
+                    for (i, &code) in out[..chunk.len()].iter().enumerate() {
                         let k = pass * KERNELS_PER_PASS + i;
                         let code = if has_faults {
                             self.faults.apply_adc(gx, k, code, adc_max)

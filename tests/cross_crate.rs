@@ -132,3 +132,18 @@ fn quantizer_grids_match_between_software_and_adc() {
         assert_eq!(adc.quantize(v), code);
     }
 }
+
+#[test]
+fn pixel_noise_draws_match_the_tensor_sampler() {
+    // `PixelNoise::apply` draws through the circuit crate's copy of
+    // Box–Muller; the training goldens assume it is bit-identical to
+    // `leca_tensor::standard_normal`.
+    let noise = leca::circuit::noise::PixelNoise::typical();
+    let (mut a, mut b) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+    for i in 0..1000 {
+        let x = i as f32 / 999.0;
+        let via_apply = noise.apply(x, &mut a);
+        let via_tensor = noise.perturb(x, || leca::tensor::standard_normal(&mut b));
+        assert_eq!(via_apply.to_bits(), via_tensor.to_bits(), "pixel {x}");
+    }
+}
