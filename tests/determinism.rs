@@ -19,7 +19,7 @@ use leca::circuit::fault::FaultPlan;
 use leca::core::config::LecaConfig;
 use leca::core::encoder::Modality;
 use leca::core::pipeline::LecaPipeline;
-use leca::nn::backbone::tiny_cnn;
+use leca::nn::backbone::{resnet_proxy, tiny_cnn};
 use leca::nn::optim::Adam;
 use leca::nn::{Layer, Mode};
 use leca::tensor::backend::refresh_backend;
@@ -43,6 +43,12 @@ const GOLDEN_FAULTY_LOSS: u32 = 0x3fb3698f;
 /// reproduce this bit pattern — and the f32 goldens above must stay
 /// untouched by the quantization machinery.
 const GOLDEN_INT8_LOGITS_CHECKSUM: u64 = 0xed4e9cb5aa79e081;
+
+/// `resnet_proxy` goldens (Soft pipeline), captured before the layers lost
+/// their allocating `forward`/`backward` twins: the only goldens whose
+/// backbone runs batch norm, residual blocks and global pooling.
+const GOLDEN_PROXY_LOSS: u32 = 0x3fabeb72;
+const GOLDEN_PROXY_LOGITS_CHECKSUM: u64 = 0xbc91588657a47d36;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
@@ -131,6 +137,36 @@ fn int8_logits_checksum() -> u64 {
     logits
         .iter()
         .fold(0u64, |h, v| h.rotate_left(7) ^ u64::from(v.to_bits()))
+}
+
+/// The `resnet_proxy` workload: one Soft-modality training step, then an
+/// eval forward (batch norm on the running statistics that step moved).
+/// Returns (loss bits, logits checksum).
+fn proxy_results() -> (u32, u64) {
+    let cfg = LecaConfig::new(2, 4, 3.0).unwrap();
+    let bb = resnet_proxy(4, &mut StdRng::seed_from_u64(3));
+    let mut p = LecaPipeline::new(&cfg, Modality::Soft, bb, 11).unwrap();
+    let mut rng = StdRng::seed_from_u64(42);
+    let x = Tensor::rand_uniform(&[4, 3, 16, 16], 0.1, 0.9, &mut rng);
+    let loss = p.train_step(&x, &[0, 1, 2, 3]).unwrap();
+    let logits = Layer::forward(&mut p, &x, Mode::Eval).unwrap();
+    (loss.to_bits(), checksum(&logits))
+}
+
+#[test]
+fn resnet_proxy_results_match_goldens() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for backend in ["scalar", "avx2"] {
+        for threads in [1, 8] {
+            let (loss, ck) = with_backend(backend, || with_threads(threads, proxy_results));
+            assert_eq!(
+                (loss, ck),
+                (GOLDEN_PROXY_LOSS, GOLDEN_PROXY_LOGITS_CHECKSUM),
+                "resnet_proxy results drifted from the goldens at LECA_BACKEND={backend} \
+                 LECA_THREADS={threads} (got 0x{loss:08x} / 0x{ck:016x})"
+            );
+        }
+    }
 }
 
 #[test]
