@@ -31,9 +31,9 @@ fn main() {
         cfg.decoder_layers = m;
         cfg.decoder_filters = f;
         let tag = format!("pipe-proxy-n4q3-soft-decM{m}F{f}");
-        let (bb, _) = harness::cached_backbone("backbone-proxy", &data).expect("cached");
         let (mut pipe, acc) =
-            harness::cached_pipeline(&tag, &cfg, Modality::Soft, &data, bb).expect("trains");
+            harness::cached_pipeline(&tag, &cfg, Modality::Soft, &data, "backbone-proxy")
+                .expect("trains");
         let mut params = 0usize;
         leca_nn::Layer::visit_params(pipe.decoder_mut(), &mut |p| params += p.len());
         rows.push(vec![

@@ -38,13 +38,12 @@ fn main() {
     }
 
     let cfg = LecaConfig::paper_for_cr(6).expect("design point");
-    let (bb, _) = harness::cached_backbone("backbone-proxy", &data).expect("cached");
     let (_, acc) = harness::cached_pipeline(
         &format!("pipe-proxy-n{}q{}-hard", cfg.n_ch, cfg.qbit),
         &cfg,
         Modality::Hard,
         &data,
-        bb,
+        "backbone-proxy",
     )
     .expect("pipeline trains");
     rows.push(vec![

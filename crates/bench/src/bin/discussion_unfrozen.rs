@@ -20,20 +20,18 @@ fn main() {
         harness::pct(baseline)
     );
 
-    let suffix = if harness::fast_mode() { "-fast" } else { "" };
     let mut rows = Vec::new();
     {
         let cr = 8usize;
         let cfg = LecaConfig::paper_for_cr(cr).expect("design point");
 
         // Frozen (the cached standard pipeline).
-        let (bb, _) = harness::cached_backbone("backbone-proxy", &data).expect("cached");
         let (_, frozen_acc) = harness::cached_pipeline(
             &format!("pipe-proxy-n{}q{}-hard", cfg.n_ch, cfg.qbit),
             &cfg,
             Modality::Hard,
             &data,
-            bb,
+            "backbone-proxy",
         )
         .expect("frozen pipeline trains");
 
@@ -44,13 +42,12 @@ fn main() {
         unfrozen.set_backbone_frozen(false);
         cache::load_or_train(
             &mut unfrozen,
-            &format!(
-                "pipe-proxy-n{}q{}-hard-unfrozen{suffix}",
-                cfg.n_ch, cfg.qbit
+            &harness::pipeline_tag(
+                &format!("pipe-proxy-n{}q{}-hard-unfrozen", cfg.n_ch, cfg.qbit),
+                "backbone-proxy",
             ),
             |p| {
-                let mut tc = leca_core::trainer::TrainConfig::experiment();
-                tc.epochs = harness::leca_epochs();
+                let tc = harness::pipeline_recipe();
                 leca_core::trainer::train_pipeline(p, data.train(), data.val(), &tc)?;
                 Ok(())
             },

@@ -18,7 +18,6 @@ use leca_baselines::jpeg::Jpeg;
 use leca_baselines::Codec;
 use leca_bench as harness;
 use leca_circuit::fault::FaultPlan;
-use leca_core::cache;
 use leca_core::config::LecaConfig;
 use leca_core::encoder::Modality;
 use leca_core::eval::fault_sweep;
@@ -41,9 +40,14 @@ fn rates() -> Vec<f64> {
 
 /// The noisy-trained CR=6 pipeline from the shared cache.
 fn noisy_pipeline(data: &SynthVision) -> harness::Result<(LecaPipeline, f32)> {
-    let (bb, _) = harness::cached_backbone("backbone-proxy", data)?;
     let cfg = LecaConfig::paper_for_cr(6)?;
-    harness::cached_pipeline("pipe-fault-noisy", &cfg, Modality::Noisy, data, bb)
+    harness::cached_pipeline(
+        "pipe-fault-noisy",
+        &cfg,
+        Modality::Noisy,
+        data,
+        "backbone-proxy",
+    )
 }
 
 fn main() {
@@ -62,12 +66,13 @@ fn main() {
         .encoder_mut()
         .set_modality(Modality::Faulty)
         .expect("K=2 pipeline");
-    let suffix = if harness::fast_mode() { "-fast" } else { "" };
-    cache::load_or_train(&mut aware, &format!("pipe-fault-awareft{suffix}"), |p| {
-        let epochs = harness::leca_epochs().div_ceil(2);
-        harness::finetune(p, &data, epochs)?;
-        Ok(())
-    })
+    harness::cached_finetune(
+        &mut aware,
+        "pipe-fault-awareft",
+        &harness::pipeline_tag("pipe-fault-noisy", "backbone-proxy"),
+        &data,
+        harness::leca_epochs().div_ceil(2),
+    )
     .expect("fault-aware fine-tune runs");
 
     // Codec baselines score through their own (full-resolution) backbone.

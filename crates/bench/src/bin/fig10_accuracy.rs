@@ -39,10 +39,14 @@ fn run(pipeline_name: &str, data: &SynthVision) {
 
         let cfg = LecaConfig::paper_for_cr(cr).expect("paper design point");
         let tag = format!("pipe-{pipeline_name}-n{}q{}-hard", cfg.n_ch, cfg.qbit);
-        let (bb, _) = harness::cached_backbone(&format!("backbone-{pipeline_name}"), data)
-            .expect("backbone cached");
-        let (_, leca_acc) =
-            harness::cached_pipeline(&tag, &cfg, Modality::Hard, data, bb).expect("leca trains");
+        let (_, leca_acc) = harness::cached_pipeline(
+            &tag,
+            &cfg,
+            Modality::Hard,
+            data,
+            &format!("backbone-{pipeline_name}"),
+        )
+        .expect("leca trains");
 
         rows.push(vec![
             format!("{cr}x"),

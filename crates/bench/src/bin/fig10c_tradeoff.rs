@@ -50,9 +50,9 @@ fn main() {
     for (n_ch, qbit) in [(8usize, 3.0f32), (4, 4.0), (4, 3.0), (4, 2.0)] {
         let cfg = LecaConfig::new(2, n_ch, qbit).expect("valid");
         let tag = format!("pipe-proxy-n{n_ch}q{qbit}-soft");
-        let (bb, _) = harness::cached_backbone("backbone-proxy", &data).expect("cached");
-        let (_, acc) = harness::cached_pipeline(&tag, &cfg, Modality::Soft, &data, bb)
-            .expect("pipeline trains");
+        let (_, acc) =
+            harness::cached_pipeline(&tag, &cfg, Modality::Soft, &data, "backbone-proxy")
+                .expect("pipeline trains");
         rows.push(vec![
             format!("LeCA {n_ch}|{qbit}"),
             format!("{:.2}", cfg.compression_ratio()),

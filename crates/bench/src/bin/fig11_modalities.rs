@@ -10,7 +10,6 @@
 //!   hardware (recovers most of the lost accuracy).
 
 use leca_bench as harness;
-use leca_core::cache;
 use leca_core::config::LecaConfig;
 use leca_core::encoder::Modality;
 use leca_core::trainer::pipeline_accuracy;
@@ -43,28 +42,24 @@ fn run(pipeline_name: &str, data: &SynthVision) {
     let cfg = LecaConfig::paper_for_cr(6).expect("paper design point");
 
     // Soft training.
-    let (bb, _) = harness::cached_backbone(&format!("backbone-{pipeline_name}"), data)
-        .expect("backbone cached");
     let (mut soft, soft_acc) = harness::cached_pipeline(
         &format!("pipe-{pipeline_name}-n4q4-soft"),
         &cfg,
         Modality::Soft,
         data,
-        bb,
+        &format!("backbone-{pipeline_name}"),
     )
     .expect("soft trains");
     let soft_on_hard = eval_under(&mut soft, Modality::Hard, data);
     let soft_on_noisy = eval_under(&mut soft, Modality::Noisy, data);
 
     // Hard training.
-    let (bb, _) = harness::cached_backbone(&format!("backbone-{pipeline_name}"), data)
-        .expect("backbone cached");
     let (mut hard, hard_acc) = harness::cached_pipeline(
         &format!("pipe-{pipeline_name}-n4q4-hard"),
         &cfg,
         Modality::Hard,
         data,
-        bb,
+        &format!("backbone-{pipeline_name}"),
     )
     .expect("hard trains");
     let hard_on_noisy = eval_under(&mut hard, Modality::Noisy, data);
@@ -73,15 +68,15 @@ fn run(pipeline_name: &str, data: &SynthVision) {
     hard.encoder_mut()
         .set_modality(Modality::Noisy)
         .expect("K=2");
-    let suffix = if harness::fast_mode() { "-fast" } else { "" };
-    cache::load_or_train(
+    harness::cached_finetune(
         &mut hard,
-        &format!("pipe-{pipeline_name}-n4q4-noisyft{suffix}"),
-        |p| {
-            let epochs = harness::leca_epochs().div_ceil(2);
-            harness::finetune(p, data, epochs)?;
-            Ok(())
-        },
+        &format!("pipe-{pipeline_name}-n4q4-noisyft"),
+        &harness::pipeline_tag(
+            &format!("pipe-{pipeline_name}-n4q4-hard"),
+            &format!("backbone-{pipeline_name}"),
+        ),
+        data,
+        harness::leca_epochs().div_ceil(2),
     )
     .expect("noisy fine-tune runs");
     let noisy_acc = pipeline_accuracy(&mut hard, data.val()).expect("noisy eval");

@@ -24,10 +24,10 @@ fn main() {
 
     for (label, cr) in [("q4", 6usize), ("q3", 8usize)] {
         let cfg = LecaConfig::paper_for_cr(cr).expect("paper design point");
-        let (bb, _) = harness::cached_backbone("backbone-proxy", &data).expect("backbone trains");
         let tag = format!("pipe-proxy-n{}q{}-hard", cfg.n_ch, cfg.qbit);
         let (mut pipe, acc) =
-            harness::cached_pipeline(&tag, &cfg, Modality::Hard, &data, bb).expect("trains");
+            harness::cached_pipeline(&tag, &cfg, Modality::Hard, &data, "backbone-proxy")
+                .expect("trains");
 
         let s = img.shape().to_vec();
         let x = img.reshape(&[1, s[0], s[1], s[2]]).expect("batch dim");

@@ -83,9 +83,9 @@ fn main() {
     for cr in [4usize, 6, 8] {
         let cfg = LecaConfig::paper_for_cr(cr).expect("design point");
         let tag = format!("pipe-proxy-n{}q{}-hard", cfg.n_ch, cfg.qbit);
-        let (bb, _) = harness::cached_backbone("backbone-proxy", &data).expect("cached");
-        let (_, acc) = harness::cached_pipeline(&tag, &cfg, Modality::Hard, &data, bb)
-            .expect("pipeline trains");
+        let (_, acc) =
+            harness::cached_pipeline(&tag, &cfg, Modality::Hard, &data, "backbone-proxy")
+                .expect("pipeline trains");
         let geom = SensorGeometry::paper(cfg.n_ch);
         points.push(Point {
             name: format!("LeCA CR={cr}"),

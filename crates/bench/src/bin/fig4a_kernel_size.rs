@@ -49,10 +49,9 @@ fn main() {
             } else {
                 format!("pipe-proxy-k{k}-n{n_ch}q{qbit}-soft")
             };
-            let (bb, _) =
-                harness::cached_backbone("backbone-proxy", &data).expect("backbone cached");
-            let (_, acc) = harness::cached_pipeline(&tag, &cfg, Modality::Soft, &data, bb)
-                .expect("pipeline trains");
+            let (_, acc) =
+                harness::cached_pipeline(&tag, &cfg, Modality::Soft, &data, "backbone-proxy")
+                    .expect("pipeline trains");
             rows.push(vec![
                 format!("{cr}x"),
                 k.to_string(),

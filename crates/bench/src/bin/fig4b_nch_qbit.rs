@@ -33,10 +33,9 @@ fn main() {
             let cfg = LecaConfig::new(2, *n_ch, *qbit).expect("valid config");
             assert!((cfg.compression_ratio() - *cr as f32).abs() < 1e-3);
             let tag = format!("pipe-proxy-n{n_ch}q{qbit}-soft");
-            let (bb, _) =
-                harness::cached_backbone("backbone-proxy", &data).expect("backbone cached");
-            let (_, acc) = harness::cached_pipeline(&tag, &cfg, Modality::Soft, &data, bb)
-                .expect("pipeline trains");
+            let (_, acc) =
+                harness::cached_pipeline(&tag, &cfg, Modality::Soft, &data, "backbone-proxy")
+                    .expect("pipeline trains");
             let label = format!("{n_ch}|{qbit}");
             if best.as_ref().map(|(_, a)| acc > *a).unwrap_or(true) {
                 best = Some((label.clone(), acc));

@@ -11,6 +11,10 @@ use crate::noise::{box_muller, ziggurat};
 use crate::{CircuitError, Result};
 use rand::Rng;
 
+/// Comparator noise sigma (V, differential input referred) of the device
+/// model built by [`AdcModel::device`].
+pub const DEVICE_NOISE_SIGMA: f32 = 2.5e-4;
+
 /// ADC operating resolution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdcResolution {
@@ -115,7 +119,7 @@ impl AdcModel {
     ) -> Result<Self> {
         let mut adc = AdcModel::new(resolution, v_fs)?;
         adc.offset = 4.0e-4 * box_muller(rng);
-        adc.noise_sigma = 2.5e-4;
+        adc.noise_sigma = DEVICE_NOISE_SIGMA;
         Ok(adc)
     }
 

@@ -25,13 +25,13 @@ use crate::{CircuitError, Result};
 use rand::Rng;
 
 /// Fraction of sampled charge lost to parasitics in the device model.
-const TRANSFER_LOSS: f32 = 0.015;
+pub const TRANSFER_LOSS: f32 = 0.015;
 /// Switch charge-injection offset per transfer (V onto `C_out`).
-const CHARGE_INJECTION: f32 = 0.0012;
+pub const CHARGE_INJECTION: f32 = 0.0012;
 /// Per-unit-capacitor mismatch sigma (fractional).
 const SIGMA_CAP: f32 = 0.006;
 /// Output-referred noise per MAC step (V, kTC + switch noise).
-const STEP_NOISE: f32 = 1.8e-4;
+pub const STEP_NOISE: f32 = 1.8e-4;
 
 /// Exact analytical SCM (Eq. (3)).
 #[derive(Debug, Clone, PartialEq)]

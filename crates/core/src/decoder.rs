@@ -33,7 +33,7 @@ pub struct LecaDecoder {
     n_ch: usize,
     k: usize,
     /// Pre-clamp sum cached for the backward mask.
-    cache: Option<Tensor>,
+    cache: Option<PooledTensor>,
 }
 
 impl std::fmt::Debug for LecaDecoder {
@@ -110,52 +110,47 @@ impl LecaDecoder {
 }
 
 impl Layer for LecaDecoder {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> leca_nn::Result<Tensor> {
-        let up = self.upsample.forward(x, mode)?;
-        let residual = self.dncnn.forward(&up, mode)?;
-        let pre = up.add(&residual)?;
-        if mode.is_train() {
-            self.cache = Some(pre.clone());
-        }
-        Ok(pre.clamp(0.0, 1.0))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> leca_nn::Result<Tensor> {
-        let pre = self
-            .cache
-            .take()
-            .ok_or(leca_nn::NnError::NoForwardCache("leca_decoder"))?;
-        // Clipped STE through the output clamp.
-        let mut g_pre = grad_out.clone();
-        for (g, &p) in g_pre.as_mut_slice().iter_mut().zip(pre.as_slice()) {
-            if !(CLAMP_PASS_LO..=CLAMP_PASS_HI).contains(&p) {
-                *g = 0.0;
-            }
-        }
-        // The sum feeds both branches; the residual branch's input grad
-        // adds to the skip path.
-        let g_up_branch = self.dncnn.backward(&g_pre)?;
-        let g_up = g_pre.add(&g_up_branch)?;
-        self.upsample.backward(&g_up)
-    }
-
     fn forward_ws(
         &mut self,
         x: &Tensor,
         mode: Mode,
         ws: &Workspace,
     ) -> leca_nn::Result<PooledTensor> {
-        if mode.is_train() {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
         let up = self.upsample.forward_ws(x, mode, ws)?;
         let residual = self.dncnn.forward_ws(&up, mode, ws)?;
         let mut pre = ws.take(up.shape());
         up.add_into(&residual, &mut pre)?;
         drop(up);
         drop(residual);
-        pre.map_inplace(|v| v.clamp(0.0, 1.0));
-        Ok(pre)
+        let mut out = ws.take(pre.shape());
+        pre.clamp_into(0.0, 1.0, &mut out)?;
+        if mode.is_train() {
+            self.cache = Some(pre);
+        }
+        Ok(out)
+    }
+
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> leca_nn::Result<PooledTensor> {
+        let pre = self
+            .cache
+            .take()
+            .ok_or(leca_nn::NnError::NoForwardCache("leca_decoder"))?;
+        // Clipped STE through the output clamp.
+        let mut g_pre = ws.take_from(grad_out);
+        for (g, &p) in g_pre.as_mut_slice().iter_mut().zip(pre.as_slice()) {
+            if !(CLAMP_PASS_LO..=CLAMP_PASS_HI).contains(&p) {
+                *g = 0.0;
+            }
+        }
+        drop(pre);
+        // The sum feeds both branches; the residual branch's input grad
+        // adds to the skip path.
+        let g_up_branch = self.dncnn.backward_ws(&g_pre, ws)?;
+        let mut g_up = ws.take(g_pre.shape());
+        g_pre.add_into(&g_up_branch, &mut g_up)?;
+        drop(g_pre);
+        drop(g_up_branch);
+        self.upsample.backward_ws(&g_up, ws)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

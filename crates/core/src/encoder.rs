@@ -26,13 +26,13 @@
 
 use crate::config::LecaConfig;
 use crate::{LecaError, Result as LecaResult};
-use leca_circuit::adc::AdcResolution;
+use leca_circuit::adc::{AdcResolution, DEVICE_NOISE_SIGMA};
 use leca_circuit::fault::FaultPlan;
 use leca_circuit::fvf::FvfModel;
 use leca_circuit::mismatch::{extract_fvf_lut, extract_psf_lut, Lut, PAPER_MC_SAMPLES};
 use leca_circuit::noise::PixelNoise;
 use leca_circuit::psf::PsfModel;
-use leca_circuit::scm::ScmModel;
+use leca_circuit::scm::{ScmModel, CHARGE_INJECTION, STEP_NOISE, TRANSFER_LOSS};
 use leca_circuit::CircuitParams;
 use leca_nn::quant::signed_magnitude_quantize;
 use leca_nn::{Layer, Mode, NnError, Param};
@@ -55,13 +55,6 @@ pub enum Modality {
     /// through the exact defect map the deployed sensor will exhibit.
     Faulty,
 }
-
-/// SCM incomplete-transfer loss and per-step charge injection used by the
-/// noisy modality (mirrors `leca_circuit::scm::ScmDevice`).
-const TRANSFER_LOSS: f32 = 0.015;
-const CHARGE_INJECTION: f32 = 0.0012;
-const SCM_STEP_NOISE: f32 = 1.8e-4;
-const ADC_NOISE: f32 = 2.5e-4;
 
 /// One step of the Bayer-expanded MAC schedule: which RGB weight/pixel it
 /// reads and with what scale factor (greens are halved and duplicated).
@@ -102,36 +95,34 @@ fn bayer_schedule() -> [BayerStep; 16] {
 
 #[derive(Debug)]
 struct SoftCache {
-    x: Tensor,
-    u: Tensor,
+    x: PooledTensor,
+    u: PooledTensor,
 }
 
 #[derive(Debug)]
 struct HwCache {
-    x_shape: Vec<usize>,
-    oh: usize,
-    ow: usize,
+    x_shape: [usize; 4],
     /// Clamped pixel voltage per (sample, block, step).
-    vpix: Vec<f32>,
+    vpix: PooledTensor,
     /// Post-PSF voltage per (sample, block, step).
-    vin: Vec<f32>,
+    vin: PooledTensor,
     /// Accumulator value before each step, per (sample, kernel, block, step).
-    prev: Vec<f32>,
+    prev: PooledTensor,
     /// Final accumulators per (sample, kernel, block).
-    vp: Vec<f32>,
-    vn: Vec<f32>,
+    vp: PooledTensor,
+    vn: PooledTensor,
     /// Pre-quantization normalized value per (sample, kernel, block).
-    u: Vec<f32>,
+    u: PooledTensor,
     /// Per (kernel, step): effective capacitance, positive-routing flag and
     /// STE pass mask for the weight.
-    cs: Vec<f32>,
+    cs: PooledTensor,
     on_pos: Vec<bool>,
     w_mask: Vec<bool>,
 }
 
 enum Cache {
     Soft(SoftCache),
-    Hw(HwCache),
+    Hw(Box<HwCache>),
 }
 
 /// The LeCA encoder layer. See the module docs.
@@ -351,31 +342,41 @@ impl LecaEncoder {
         }
     }
 
-    fn forward_soft(&mut self, x: &Tensor, mode: Mode) -> leca_nn::Result<Tensor> {
-        let y = ops::conv2d(x, &self.weight.value, None, self.k, 0)?;
-        let vfs = self.v_fs();
-        let u = y.scale(1.0 / vfs);
-        let out = u.map(|v| self.quant_norm(v));
+    fn forward_soft(
+        &mut self,
+        x: &Tensor,
+        mode: Mode,
+        ws: &Workspace,
+    ) -> leca_nn::Result<PooledTensor> {
+        let w = &self.weight.value;
+        let mut out = ws.take(&ops::conv2d_out_shape(x, w, self.k, 0)?);
+        ops::conv2d_into(x, w, None, self.k, 0, &mut out)?;
+        // Same float sequence throughout: u = y · (1/v_fs), then quantize.
+        let inv = 1.0 / self.v_fs();
+        out.map_inplace(|v| v * inv);
         if mode.is_train() {
-            self.cache = Some(Cache::Soft(SoftCache { x: x.clone(), u }));
+            self.cache = Some(Cache::Soft(SoftCache {
+                x: ws.take_from(x),
+                u: ws.take_from(&out),
+            }));
         }
+        out.map_inplace(|v| self.quant_norm(v));
         Ok(out)
     }
 
-    fn backward_soft(&mut self, grad_out: &Tensor, cache: SoftCache) -> leca_nn::Result<Tensor> {
+    fn backward_soft(
+        &mut self,
+        grad_out: &Tensor,
+        cache: SoftCache,
+        ws: &Workspace,
+    ) -> leca_nn::Result<PooledTensor> {
         let vfs = self.v_fs();
         // STE through the quantizer, clipped to the boundary.
-        let mut g_u = grad_out.clone();
+        let mut g_y = ws.take_from(grad_out);
         let mut g_vfs = 0.0f64;
-        for ((g, &u), go) in g_u
-            .as_mut_slice()
-            .iter_mut()
-            .zip(cache.u.as_slice())
-            .zip(grad_out.as_slice())
-        {
+        for (g, &u) in g_y.as_mut_slice().iter_mut().zip(cache.u.as_slice()) {
             if u.abs() <= 1.0 {
-                g_vfs += (*go * (-u / vfs)) as f64;
-                *g = *go;
+                g_vfs += (*g * (-u / vfs)) as f64;
             } else {
                 *g = 0.0;
             }
@@ -384,18 +385,15 @@ impl LecaEncoder {
         if !self.v_fs.frozen {
             self.v_fs.grad.as_mut_slice()[0] += g_vfs as f32;
         }
-        let g_y = g_u.scale(1.0 / vfs);
+        let inv = 1.0 / vfs;
+        g_y.map_inplace(|v| v * inv);
         if !self.weight.frozen {
             let gw = ops::conv2d_grad_weight(&cache.x, &g_y, self.k, self.k, self.k, 0)?;
             self.weight.accumulate(&gw);
         }
-        Ok(ops::conv2d_grad_input(
-            &g_y,
-            &self.weight.value,
-            cache.x.shape(),
-            self.k,
-            0,
-        )?)
+        let mut gx = ws.take(cache.x.shape());
+        ops::conv2d_grad_input_into(&g_y, &self.weight.value, self.k, 0, &mut gx)?;
+        Ok(gx)
     }
 
     /// PSF transfer + slope in the current modality.
@@ -424,7 +422,12 @@ impl LecaEncoder {
         }
     }
 
-    fn forward_hw(&mut self, x: &Tensor, mode: Mode) -> leca_nn::Result<Tensor> {
+    fn forward_hw(
+        &mut self,
+        x: &Tensor,
+        mode: Mode,
+        ws: &Workspace,
+    ) -> leca_nn::Result<PooledTensor> {
         if x.rank() != 4 || x.shape()[1] != 3 {
             return Err(NnError::Tensor(leca_tensor::TensorError::RankMismatch {
                 op: "leca_encoder",
@@ -450,7 +453,8 @@ impl LecaEncoder {
         let loss_factor = if noisy { 1.0 - TRANSFER_LOSS } else { 1.0 };
 
         // Per (kernel, step): quantized code → capacitance, routing, mask.
-        let mut cs = vec![0.0f32; n_ch * 16];
+        let mut cs_buf = ws.take(&[n_ch * 16]);
+        let cs = cs_buf.as_mut_slice();
         let mut on_pos = vec![true; n_ch * 16];
         let mut w_mask = vec![true; n_ch * 16];
         let schedule_w = self.schedule;
@@ -473,13 +477,16 @@ impl LecaEncoder {
         }
 
         let schedule = self.schedule;
-        let mut vpix = vec![0.0f32; n * blocks * 16];
-        let mut vin = vec![0.0f32; n * blocks * 16];
-        let mut prev = vec![0.0f32; n * n_ch * blocks * 16];
-        let mut vp = vec![0.0f32; n * n_ch * blocks];
-        let mut vn = vec![0.0f32; n * n_ch * blocks];
-        let mut u = vec![0.0f32; n * n_ch * blocks];
-        let mut out = Tensor::zeros(&[n, n_ch, oh, ow]);
+        let mut vpix_buf = ws.take(&[n * blocks * 16]);
+        let mut vin_buf = ws.take(&[n * blocks * 16]);
+        let mut prev_buf = ws.take(&[n * n_ch * blocks * 16]);
+        let mut vp_buf = ws.take(&[n * n_ch * blocks]);
+        let mut vn_buf = ws.take(&[n * n_ch * blocks]);
+        let mut u_buf = ws.take(&[n * n_ch * blocks]);
+        let (vpix, vin) = (vpix_buf.as_mut_slice(), vin_buf.as_mut_slice());
+        let (prev, vp) = (prev_buf.as_mut_slice(), vp_buf.as_mut_slice());
+        let (vn, u) = (vn_buf.as_mut_slice(), u_buf.as_mut_slice());
+        let mut out = ws.take(&[n, n_ch, oh, ow]);
 
         for ni in 0..n {
             for by in 0..oh {
@@ -522,7 +529,7 @@ impl LecaEncoder {
                                     self.scm.step(*acc, vin[(ni * blocks + b) * 16 + j], cs[ks]);
                                 if noisy {
                                     v += CHARGE_INJECTION
-                                        + SCM_STEP_NOISE * standard_normal(&mut self.rng);
+                                        + STEP_NOISE * standard_normal(&mut self.rng);
                                 }
                                 *acc = v;
                             }
@@ -535,7 +542,7 @@ impl LecaEncoder {
                         let (bn, _) = self.fvf_eval(acc_n, noisy);
                         let mut vdiff = bp - bn;
                         if noisy {
-                            vdiff += ADC_NOISE * standard_normal(&mut self.rng);
+                            vdiff += DEVICE_NOISE_SIGMA * standard_normal(&mut self.rng);
                         }
                         let uu = vdiff / vfs;
                         u[kb] = uu;
@@ -550,27 +557,31 @@ impl LecaEncoder {
         }
 
         if mode.is_train() {
-            self.cache = Some(Cache::Hw(HwCache {
-                x_shape: x.shape().to_vec(),
-                oh,
-                ow,
-                vpix,
-                vin,
-                prev,
-                vp,
-                vn,
-                u,
-                cs,
+            self.cache = Some(Cache::Hw(Box::new(HwCache {
+                x_shape: [n, 3, h, w],
+                vpix: vpix_buf,
+                vin: vin_buf,
+                prev: prev_buf,
+                vp: vp_buf,
+                vn: vn_buf,
+                u: u_buf,
+                cs: cs_buf,
                 on_pos,
                 w_mask,
-            }));
+            })));
         }
         Ok(out)
     }
 
-    fn backward_hw(&mut self, grad_out: &Tensor, cache: HwCache) -> leca_nn::Result<Tensor> {
+    fn backward_hw(
+        &mut self,
+        grad_out: &Tensor,
+        cache: HwCache,
+        ws: &Workspace,
+    ) -> leca_nn::Result<PooledTensor> {
         let noisy = matches!(self.modality, Modality::Noisy | Modality::Faulty);
-        let (n, oh, ow) = (cache.x_shape[0], cache.oh, cache.ow);
+        let [n, _, h, w] = cache.x_shape;
+        let (oh, ow) = (h / 2, w / 2);
         let blocks = oh * ow;
         let n_ch = self.n_ch;
         if grad_out.shape() != [n, n_ch, oh, ow] {
@@ -587,7 +598,19 @@ impl LecaEncoder {
         let (win_lo, win_hi) = (self.params.v_dark, self.params.v_dark + self.params.v_swing);
 
         let schedule = self.schedule;
-        let mut gx = Tensor::zeros(&cache.x_shape);
+        let mut gx_buf = ws.take(&cache.x_shape);
+        let gx = gx_buf.as_mut_slice();
+        let (vpix, vin, prev) = (
+            cache.vpix.as_slice(),
+            cache.vin.as_slice(),
+            cache.prev.as_slice(),
+        );
+        let (vp, vn, u, cs) = (
+            cache.vp.as_slice(),
+            cache.vn.as_slice(),
+            cache.u.as_slice(),
+            cache.cs.as_slice(),
+        );
         let mut gw = Tensor::zeros(self.weight.value.shape());
         let mut g_vfs = 0.0f64;
 
@@ -600,7 +623,7 @@ impl LecaEncoder {
                     if go == 0.0 {
                         continue;
                     }
-                    let uu = cache.u[kb];
+                    let uu = u[kb];
                     if uu.abs() > 1.0 {
                         continue; // clipped STE: saturated codes block grads
                     }
@@ -608,12 +631,12 @@ impl LecaEncoder {
                     let g_vdiff = go / vfs;
                     // FVF slopes at the cached accumulator values.
                     let slope_p = if noisy {
-                        self.fvf_lut.slope(cache.vp[kb])
+                        self.fvf_lut.slope(vp[kb])
                     } else {
                         self.fvf.gain
                     };
                     let slope_n = if noisy {
-                        self.fvf_lut.slope(cache.vn[kb])
+                        self.fvf_lut.slope(vn[kb])
                     } else {
                         self.fvf.gain
                     };
@@ -627,10 +650,9 @@ impl LecaEncoder {
                             continue;
                         }
                         let idx = (ni * blocks + b) * 16 + j;
-                        let prev_v = cache.prev[kb * 16 + j];
-                        let vin_v = cache.vin[idx];
-                        let (d_prev, d_vin, d_cs) =
-                            self.scm.step_grads(prev_v, vin_v, cache.cs[ks]);
+                        let prev_v = prev[kb * 16 + j];
+                        let vin_v = vin[idx];
+                        let (d_prev, d_vin, d_cs) = self.scm.step_grads(prev_v, vin_v, cs[ks]);
                         // Weight gradient through the capacitance code.
                         if cache.w_mask[ks] {
                             let step = schedule[j];
@@ -640,8 +662,8 @@ impl LecaEncoder {
                             gw.as_mut_slice()[widx] += contrib;
                         }
                         // Input gradient through PSF and the pixel window.
-                        if cache.cs[ks] > 0.0 {
-                            let vpix_v = cache.vpix[idx];
+                        if cs[ks] > 0.0 {
+                            let vpix_v = vpix[idx];
                             if vpix_v > win_lo && vpix_v < win_hi {
                                 let psf_slope = if noisy {
                                     self.psf_lut.slope(vpix_v)
@@ -651,7 +673,7 @@ impl LecaEncoder {
                                 let step = schedule[j];
                                 let (y, x) = (by * 2 + step.dy, bx * 2 + step.dx);
                                 let xidx = ((ni * 3 + step.c) * (oh * 2) + y) * (ow * 2) + x;
-                                gx.as_mut_slice()[xidx] += *gacc * d_vin * psf_slope * v_swing;
+                                gx[xidx] += *gacc * d_vin * psf_slope * v_swing;
                             }
                         }
                         *gacc *= d_prev;
@@ -665,55 +687,29 @@ impl LecaEncoder {
         if !self.weight.frozen {
             self.weight.accumulate(&gw);
         }
-        Ok(gx)
+        Ok(gx_buf)
     }
 }
 
 impl Layer for LecaEncoder {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> leca_nn::Result<Tensor> {
-        match self.modality {
-            Modality::Soft => self.forward_soft(x, mode),
-            Modality::Hard | Modality::Noisy | Modality::Faulty => self.forward_hw(x, mode),
-        }
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> leca_nn::Result<Tensor> {
-        match self.cache.take() {
-            Some(Cache::Soft(c)) => self.backward_soft(grad_out, c),
-            Some(Cache::Hw(c)) => self.backward_hw(grad_out, c),
-            None => Err(NnError::NoForwardCache("leca_encoder")),
-        }
-    }
-
     fn forward_ws(
         &mut self,
         x: &Tensor,
         mode: Mode,
         ws: &Workspace,
     ) -> leca_nn::Result<PooledTensor> {
-        // Only the soft modality has an allocation-free eval path; the
-        // hardware modalities build per-step voltage traces and keep the
-        // allocating forward. Training also stays allocating (its caches
-        // outlive this call).
-        if self.modality != Modality::Soft || mode.is_train() || x.rank() != 4 {
-            return Ok(ws.adopt(self.forward(x, mode)?));
+        match self.modality {
+            Modality::Soft => self.forward_soft(x, mode, ws),
+            Modality::Hard | Modality::Noisy | Modality::Faulty => self.forward_hw(x, mode, ws),
         }
-        let (oh, ow) = ops::Conv2dGeometry {
-            in_h: x.shape()[2],
-            in_w: x.shape()[3],
-            kh: self.k,
-            kw: self.k,
-            stride: self.k,
-            pad: 0,
+    }
+
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> leca_nn::Result<PooledTensor> {
+        match self.cache.take() {
+            Some(Cache::Soft(c)) => self.backward_soft(grad_out, c, ws),
+            Some(Cache::Hw(c)) => self.backward_hw(grad_out, *c, ws),
+            None => Err(NnError::NoForwardCache("leca_encoder")),
         }
-        .out_dims()
-        .map_err(NnError::Tensor)?;
-        let mut out = ws.take(&[x.shape()[0], self.n_ch, oh, ow]);
-        ops::conv2d_into(x, &self.weight.value, None, self.k, 0, &mut out)?;
-        let inv = 1.0 / self.v_fs();
-        // Same float sequence as `forward_soft`: scale by 1/v_fs, quantize.
-        out.map_inplace(|v| self.quant_norm(v * inv));
-        Ok(out)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -17,6 +17,12 @@ pub struct LecaPipeline {
     backbone: Backbone,
     loss: SoftmaxCrossEntropy,
     config: LecaConfig,
+    /// The pool [`LecaPipeline::train_step`] and
+    /// [`LecaPipeline::accuracy`] run on. Each call trims it on the way
+    /// out, so an idle pipeline holds no activation memory: a run that
+    /// keeps several pipelines alive (a comparison, a sweep) pays for one
+    /// step's buffers at a time, not one per pipeline.
+    ws: Workspace,
 }
 
 impl std::fmt::Debug for LecaPipeline {
@@ -53,6 +59,7 @@ impl LecaPipeline {
             backbone,
             loss: SoftmaxCrossEntropy::new(),
             config: cfg.clone(),
+            ws: Workspace::new(),
         })
     }
 
@@ -123,17 +130,6 @@ impl LecaPipeline {
         Ok(self.decoder.forward(ofmap, mode)?)
     }
 
-    /// Full forward pass to logits.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer errors.
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> LecaResult<Tensor> {
-        let ofmap = self.encoder.forward(x, mode)?;
-        let decoded = self.decoder.forward(&ofmap, mode)?;
-        Ok(self.backbone.forward(&decoded, mode)?)
-    }
-
     /// One training step's forward + backward: returns the batch loss.
     /// Gradients accumulate in the encoder/decoder. The gradient flows
     /// through the frozen backbone, but its parameters accumulate none
@@ -143,11 +139,12 @@ impl LecaPipeline {
     ///
     /// Propagates layer/loss errors.
     pub fn train_step(&mut self, x: &Tensor, labels: &[usize]) -> LecaResult<f32> {
-        let logits = self.forward(x, Mode::Train)?;
+        let ws = self.ws.clone();
+        let logits = self.forward_ws(x, Mode::Train, &ws)?;
         let (loss, grad) = self.loss.forward(&logits, labels)?;
-        let g = self.backbone.backward(&grad)?;
-        let g = self.decoder.backward(&g)?;
-        self.encoder.backward(&g)?;
+        drop(logits);
+        self.backward_ws(&grad, &ws)?;
+        ws.trim();
         Ok(loss)
     }
 
@@ -157,24 +154,16 @@ impl LecaPipeline {
     ///
     /// Propagates layer errors.
     pub fn accuracy(&mut self, x: &Tensor, labels: &[usize]) -> LecaResult<f32> {
-        let logits = self.forward(x, Mode::Eval)?;
-        Ok(leca_nn::loss::accuracy(&logits, labels)?)
+        let ws = self.ws.clone();
+        let logits = self.forward_ws(x, Mode::Eval, &ws)?;
+        let acc = leca_nn::loss::accuracy(&logits, labels)?;
+        drop(logits);
+        ws.trim();
+        Ok(acc)
     }
 }
 
 impl Layer for LecaPipeline {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> leca_nn::Result<Tensor> {
-        let ofmap = self.encoder.forward(x, mode)?;
-        let decoded = self.decoder.forward(&ofmap, mode)?;
-        self.backbone.forward(&decoded, mode)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> leca_nn::Result<Tensor> {
-        let g = self.backbone.backward(grad_out)?;
-        let g = self.decoder.backward(&g)?;
-        self.encoder.backward(&g)
-    }
-
     fn forward_ws(
         &mut self,
         x: &Tensor,
@@ -185,6 +174,12 @@ impl Layer for LecaPipeline {
         let decoded = self.decoder.forward_ws(&ofmap, mode, ws)?;
         drop(ofmap);
         self.backbone.forward_ws(&decoded, mode, ws)
+    }
+
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> leca_nn::Result<PooledTensor> {
+        let g = self.backbone.backward_ws(grad_out, ws)?;
+        let g = self.decoder.backward_ws(&g, ws)?;
+        self.encoder.backward_ws(&g, ws)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

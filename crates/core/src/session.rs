@@ -1,12 +1,12 @@
 //! Zero-steady-state-allocation inference driver.
 //!
 //! [`InferenceSession`] owns one [`Workspace`] for a pipeline (or bare
-//! backbone) and drives every eval-mode forward through the buffer-reusing
-//! `forward_ws` layer path. After [`InferenceSession::warm_up`] (or the
-//! first batch of a fixed shape), every activation a `classify_batch` call
-//! needs is served from the pool and returned to it when the call ends —
-//! steady-state inference performs **no heap allocations** and produces
-//! outputs bit-identical to the allocating `forward` path.
+//! backbone) and drives every eval-mode forward through the layers'
+//! `forward_ws`. After [`InferenceSession::warm_up`] (or the first batch
+//! of a fixed shape), every activation a `classify_batch` call needs is
+//! served from the pool and returned to it when the call ends —
+//! steady-state inference performs **no heap allocations**, in every
+//! encoder modality.
 //!
 //! The session is the single entry point used by the evaluation protocol
 //! ([`crate::eval`]), the hardware-in-the-loop check ([`crate::deploy`])
@@ -45,8 +45,7 @@ enum ModelRef<'a> {
 
 /// A reusable inference context: one model, one workspace.
 ///
-/// All forwards run in [`Mode::Eval`]; training keeps the allocating path
-/// (its caches outlive individual calls).
+/// All forwards run in [`Mode::Eval`], which caches nothing for backward.
 pub struct InferenceSession<'a> {
     model: ModelRef<'a>,
     ws: Workspace,
@@ -355,7 +354,7 @@ impl<'a> InferenceSession<'a> {
         self.ws.stats()
     }
 
-    /// The session's workspace (e.g. to adopt auxiliary tensors).
+    /// The session's workspace (e.g. to check out auxiliary tensors).
     pub fn workspace(&self) -> &Workspace {
         &self.ws
     }
@@ -509,8 +508,8 @@ mod tests {
 
     #[test]
     fn hard_modality_still_works_through_the_session() {
-        // The hardware encoder falls back to its allocating forward but the
-        // decoder/backbone still run through the pool.
+        // The hardware encoder writes its codes into the session's pool
+        // like every other stage; a fresh-pool forward agrees.
         let mut p = pipeline(Modality::Hard);
         let mut rng = StdRng::seed_from_u64(6);
         let x = Tensor::rand_uniform(&[2, 3, 16, 16], 0.1, 0.9, &mut rng);

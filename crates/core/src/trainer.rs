@@ -13,6 +13,7 @@
 
 use crate::encoder::Modality;
 use crate::pipeline::LecaPipeline;
+use crate::session::InferenceSession;
 use crate::{LecaError, Result as LecaResult};
 use leca_data::augment::paper_augment;
 use leca_data::Dataset;
@@ -20,7 +21,7 @@ use leca_nn::backbone::{resnet_full, resnet_proxy, Backbone};
 use leca_nn::loss::{accuracy, SoftmaxCrossEntropy};
 use leca_nn::optim::{Adam, StepDecay};
 use leca_nn::{Layer, Mode};
-use leca_tensor::Tensor;
+use leca_tensor::{Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -168,6 +169,7 @@ pub fn train_backbone(
     let mut data = train.clone();
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     let mut guard = EpochGuard::new(backbone);
+    let ws = Workspace::new();
     let mut epoch = 0;
     while epoch < cfg.epochs {
         opt.set_lr(cfg.schedule.lr_at(epoch) * guard.lr_scale);
@@ -177,9 +179,10 @@ pub fn train_backbone(
         for (x, labels) in data.iter_batches(cfg.batch_size) {
             let x = maybe_augment(&x, cfg.augment, &mut rng)?;
             backbone.zero_grad();
-            let logits = backbone.forward(&x, Mode::Train)?;
+            let logits = backbone.forward_ws(&x, Mode::Train, &ws)?;
             let (loss, grad) = lossfn.forward(&logits, &labels)?;
-            backbone.backward(&grad)?;
+            drop(logits);
+            backbone.backward_ws(&grad, &ws)?;
             opt.step(backbone);
             total += loss;
             batches += 1;
@@ -215,10 +218,11 @@ const EVAL_BATCH: usize = 64;
 ///
 /// Propagates layer errors.
 pub fn backbone_accuracy(backbone: &mut Backbone, ds: &Dataset) -> LecaResult<f32> {
+    let mut session = InferenceSession::for_backbone(backbone);
     let mut correct = 0.0;
     let mut count = 0usize;
     for (x, labels) in ds.iter_batches(EVAL_BATCH) {
-        let logits = backbone.forward(&x, Mode::Eval)?;
+        let logits = session.logits(&x)?;
         correct += accuracy(&logits, &labels)? * labels.len() as f32;
         count += labels.len();
     }

@@ -47,16 +47,12 @@ impl Backbone {
 }
 
 impl Layer for Backbone {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        self.net.forward(x, mode)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        self.net.backward(grad_out)
-    }
-
     fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
         self.net.forward_ws(x, mode, ws)
+    }
+
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
+        self.net.backward_ws(grad_out, ws)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -15,26 +15,12 @@ fn close(analytic: f32, numeric: f32, tol: f32) -> bool {
 }
 
 /// Verifies a layer's input and parameter gradients against central finite
-/// differences of `L = sum(forward(x))`, forwarding in `Train` mode.
-///
-/// # Errors
-///
-/// See [`check_layer_in_mode`].
-pub fn check_layer<L: Layer + ?Sized>(layer: &mut L, x: &Tensor, tol: f32) -> Result<()> {
-    check_layer_in_mode(layer, x, tol, Mode::Train)
-}
-
-/// Verifies a layer's input and parameter gradients against central finite
 /// differences of `L = sum(forward(x))`, with every forward pass run in
-/// `mode`.
+/// `Train` mode (an `Eval` forward caches nothing to differentiate).
 ///
-/// The mode parameter matters for layers whose forward function differs
-/// between training and inference (batch norm normalizes with batch
-/// statistics in `Train` but with constant running statistics in `Eval`);
-/// both functions are differentiable and both backward paths need
-/// checking. Stateful side effects that would break the finite-difference
-/// probes (running-statistics updates in `Train` mode) must be disabled by
-/// the caller, e.g. via [`Layer::set_stats_locked`].
+/// Stateful side effects that would break the finite-difference probes
+/// (running-statistics updates) must be disabled by the caller, e.g. via
+/// [`Layer::set_stats_locked`].
 ///
 /// Checks up to 24 evenly-spaced coordinates of the input and of every
 /// parameter to keep the cost bounded for larger layers.
@@ -44,12 +30,8 @@ pub fn check_layer<L: Layer + ?Sized>(layer: &mut L, x: &Tensor, tol: f32) -> Re
 /// Returns [`NnError::InvalidConfig`] describing the first coordinate whose
 /// analytic and numeric gradients disagree beyond `tol`, or propagates any
 /// layer error.
-pub fn check_layer_in_mode<L: Layer + ?Sized>(
-    layer: &mut L,
-    x: &Tensor,
-    tol: f32,
-    mode: Mode,
-) -> Result<()> {
+pub fn check_layer<L: Layer + ?Sized>(layer: &mut L, x: &Tensor, tol: f32) -> Result<()> {
+    let mode = Mode::Train;
     const EPS: f32 = 1e-3;
     const MAX_COORDS: usize = 24;
 
@@ -133,6 +115,7 @@ fn sample_coords(len: usize, max: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::Param;
+    use leca_tensor::{PooledTensor, Workspace};
 
     /// y = w * x elementwise — trivially correct gradients.
     struct Elementwise {
@@ -141,16 +124,16 @@ mod tests {
     }
 
     impl Layer for Elementwise {
-        fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+        fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
             if mode.is_train() {
                 self.cache = Some(x.clone());
             }
-            Ok(x.mul(&self.w.value)?)
+            Ok(ws.take_from(&x.mul(&self.w.value)?))
         }
-        fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
             let x = self.cache.take().ok_or(NnError::NoForwardCache("ew"))?;
             self.w.accumulate(&x.mul(grad_out)?);
-            Ok(grad_out.mul(&self.w.value)?)
+            Ok(ws.take_from(&grad_out.mul(&self.w.value)?))
         }
         fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
             f(&mut self.w);
@@ -166,15 +149,15 @@ mod tests {
     }
 
     impl Layer for Buggy {
-        fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+        fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
             if mode.is_train() {
                 self.cache = Some(x.clone());
             }
-            Ok(x.scale(3.0))
+            Ok(ws.take_from(&x.scale(3.0)))
         }
-        fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
             self.cache.take().ok_or(NnError::NoForwardCache("buggy"))?;
-            Ok(grad_out.scale(6.0))
+            Ok(ws.take_from(&grad_out.scale(6.0)))
         }
         fn name(&self) -> &'static str {
             "buggy"

@@ -7,7 +7,8 @@ use leca_tensor::{PooledTensor, Tensor, Workspace};
 pub enum Mode {
     /// Training: use batch statistics, sample noise, cache for backward.
     Train,
-    /// Inference: use running statistics; forward-only use is allowed.
+    /// Inference: use running statistics; forward-only (nothing is
+    /// cached, so a backward after an `Eval` forward fails).
     Eval,
 }
 
@@ -22,55 +23,56 @@ impl Mode {
 ///
 /// The contract mirrors classic layer-wise backpropagation:
 ///
-/// 1. `forward(x, Mode::Train)` computes the output and caches whatever the
-///    gradient needs.
-/// 2. `backward(grad_out)` consumes the cache, **accumulates** parameter
-///    gradients into each [`Param::grad`], and returns `dL/dx`.
+/// 1. `forward_ws(x, Mode::Train, ws)` computes the output and caches
+///    whatever the gradient needs.
+/// 2. `backward_ws(grad_out, ws)` consumes the cache, **accumulates**
+///    parameter gradients into each [`Param::grad`], and returns `dL/dx`.
 ///
-/// `backward` must be preceded by a `Train`-mode forward on the same layer;
-/// implementations return [`crate::NnError::NoForwardCache`] otherwise.
+/// Both draw every activation, input gradient and backward cache from the
+/// caller's [`Workspace`] and hand them back on drop, so a loop that keeps
+/// one workspace reaches a steady state where the pool neither allocates
+/// nor grows. Only parameter gradients allocate: they accumulate into
+/// [`Param`], not into the pool.
+///
+/// `backward_ws` must be preceded by a `Train`-mode forward on the same
+/// layer; implementations return [`crate::NnError::NoForwardCache`]
+/// otherwise.
 pub trait Layer {
-    /// Computes the layer output for `x`.
+    /// Computes the layer output for `x` into a buffer of `ws`.
     ///
     /// # Errors
     ///
     /// Returns an error when `x` has an incompatible shape.
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor>;
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor>;
 
-    /// Back-propagates `grad_out`, returning the gradient wrt the input.
+    /// Back-propagates `grad_out`, returning the gradient wrt the input in
+    /// a buffer of `ws`.
     ///
     /// # Errors
     ///
     /// Returns [`crate::NnError::NoForwardCache`] when no training forward
     /// preceded this call, or a shape error when `grad_out` does not match
     /// the cached output shape.
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor>;
 
-    /// [`Layer::forward`] drawing the output (and any intermediates) from a
-    /// [`Workspace`] buffer pool. Results are **bit-identical** to
-    /// `forward`; only the allocation strategy differs.
-    ///
-    /// The default delegates to the allocating `forward` and adopts the
-    /// result into the pool, so external layers keep compiling unchanged.
-    /// Buffer-reusing overrides typically serve only [`Mode::Eval`] and
-    /// fall back to this path for [`Mode::Train`], where the backward cache
-    /// must own its tensors anyway.
+    /// [`Layer::forward_ws`] on a fresh workspace, with the output detached
+    /// from it: the one-off entry point for callers that keep no pool.
     ///
     /// # Errors
     ///
-    /// As [`Layer::forward`].
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        Ok(ws.adopt(self.forward(x, mode)?))
+    /// As [`Layer::forward_ws`].
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+        Ok(self.forward_ws(x, mode, &Workspace::new())?.detach())
     }
 
-    /// [`Layer::backward`] drawing the returned gradient from a
-    /// [`Workspace`] buffer pool, bit-identical to `backward`.
+    /// [`Layer::backward_ws`] on a fresh workspace, with the gradient
+    /// detached from it.
     ///
     /// # Errors
     ///
-    /// As [`Layer::backward`].
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
-        Ok(ws.adopt(self.backward(grad_out)?))
+    /// As [`Layer::backward_ws`].
+    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        Ok(self.backward_ws(grad_out, &Workspace::new())?.detach())
     }
 
     /// Visits every parameter in a deterministic order.
@@ -141,18 +143,18 @@ mod tests {
     }
 
     impl Layer for Scale {
-        fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+        fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
             if mode.is_train() {
                 self.cache = Some(x.clone());
             }
-            Ok(x.scale(self.factor.value.as_slice()[0]))
+            Ok(ws.take_from(&x.scale(self.factor.value.as_slice()[0])))
         }
 
-        fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
             let x = self.cache.take().ok_or(NnError::NoForwardCache("scale"))?;
             let gf = x.mul(grad_out)?.sum();
             self.factor.accumulate(&Tensor::from_slice(&[gf]));
-            Ok(grad_out.scale(self.factor.value.as_slice()[0]))
+            Ok(ws.take_from(&grad_out.scale(self.factor.value.as_slice()[0])))
         }
 
         fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -215,25 +217,5 @@ mod tests {
     fn num_params_is_read_only() {
         let s = make();
         assert_eq!(s.num_params(), 1);
-    }
-
-    #[test]
-    fn default_ws_paths_match_allocating() {
-        let ws = Workspace::new();
-        let x = Tensor::from_slice(&[1.0, -2.0, 3.0]);
-        let mut a = make();
-        let mut b = make();
-        let ya = a.forward(&x, Mode::Train).unwrap();
-        let yb = b.forward_ws(&x, Mode::Train, &ws).unwrap();
-        assert_eq!(&ya, &*yb);
-        let g = Tensor::ones(&[3]);
-        let ga = a.backward(&g).unwrap();
-        let gb = b.backward_ws(&g, &ws).unwrap();
-        assert_eq!(&ga, &*gb);
-        // Adopted buffers joined the pool on drop.
-        drop(yb);
-        drop(gb);
-        assert_eq!(ws.stats().live, 0);
-        assert_eq!(ws.stats().free, 2);
     }
 }

@@ -2,9 +2,22 @@ use crate::{Layer, Mode, NnError, Result};
 use leca_tensor::backend;
 use leca_tensor::{PooledTensor, Tensor, Workspace};
 
-/// Length check shared by the masked backward passes, returning the
-/// zeroed gradient-input tensor on success.
-fn checked_grad_buf(what: &'static str, mask: &Tensor, grad_out: &Tensor) -> Result<Tensor> {
+/// Caches the `1.0 / 0.0` activation mask of `x` in a buffer of `ws`.
+fn pooled_mask(x: &Tensor, ws: &Workspace) -> PooledTensor {
+    let mut mask = ws.take(x.shape());
+    backend::relu_mask(x.as_slice(), mask.as_mut_slice());
+    mask
+}
+
+/// Takes the cached mask and checks it against `grad_out`, returning the
+/// mask and the gradient-input buffer.
+fn mask_and_grad_buf(
+    mask: &mut Option<PooledTensor>,
+    what: &'static str,
+    grad_out: &Tensor,
+    ws: &Workspace,
+) -> Result<(PooledTensor, PooledTensor)> {
+    let mask = mask.take().ok_or(NnError::NoForwardCache(what))?;
     if mask.len() != grad_out.len() {
         return Err(NnError::BatchMismatch {
             what,
@@ -12,21 +25,17 @@ fn checked_grad_buf(what: &'static str, mask: &Tensor, grad_out: &Tensor) -> Res
             actual: grad_out.len(),
         });
     }
-    Ok(Tensor::zeros(grad_out.shape()))
+    Ok((mask, ws.take(grad_out.shape())))
 }
 
 /// Rectified linear unit: `y = max(x, 0)`.
 ///
-/// The forward mask is a pooled `1.0 / 0.0` tensor rather than a
-/// `Vec<bool>`: checked out of the caller's [`Workspace`] on the `_ws`
-/// path (or this layer's private fallback pool otherwise) and returned on
-/// [`Layer::backward`], so steady-state training allocates nothing here.
+/// The training mask is a pooled `1.0 / 0.0` tensor rather than a
+/// `Vec<bool>`, checked out of the caller's [`Workspace`] and returned on
+/// backward, so steady-state training allocates nothing here.
 #[derive(Debug, Default)]
 pub struct Relu {
     mask: Option<PooledTensor>,
-    /// Mask pool for the allocating [`Layer::forward`] entry point, so
-    /// both entry points cache the same [`PooledTensor`] mask type.
-    pool: Workspace,
 }
 
 impl Relu {
@@ -34,42 +43,25 @@ impl Relu {
     pub fn new() -> Self {
         Relu::default()
     }
-
-    fn cache_mask(&mut self, x: &Tensor, ws: &Workspace) {
-        let mut mask = ws.take(x.shape());
-        backend::relu_mask(x.as_slice(), mask.as_mut_slice());
-        self.mask = Some(mask);
-    }
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
         if mode.is_train() {
-            let pool = self.pool.clone();
-            self.cache_mask(x, &pool);
+            self.mask = Some(pooled_mask(x, ws));
         }
         // Not `v.max(0.0)`: f32::max drops NaN operands, which would
         // silently launder a poisoned activation into a healthy zero and
         // hide divergence from the trainer's non-finite-loss detector.
-        // `backend::relu` keeps the NaN-passing branch on both paths.
-        let mut out = Tensor::zeros(x.shape());
+        // `backend::relu` keeps the NaN-passing branch.
+        let mut out = ws.take(x.shape());
         backend::relu(x.as_slice(), out.as_mut_slice());
         Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mask = self.mask.take().ok_or(NnError::NoForwardCache("relu"))?;
-        let mut out = checked_grad_buf("relu backward", &mask, grad_out)?;
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
+        let (mask, mut out) = mask_and_grad_buf(&mut self.mask, "relu", grad_out, ws)?;
         backend::relu_backward(mask.as_slice(), grad_out.as_slice(), out.as_mut_slice());
-        Ok(out)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() {
-            self.cache_mask(x, ws);
-        }
-        let mut out = ws.take_from(x);
-        backend::relu_inplace(out.as_mut_slice());
         Ok(out)
     }
 
@@ -87,59 +79,33 @@ impl Layer for Relu {
 pub struct LeakyRelu {
     alpha: f32,
     mask: Option<PooledTensor>,
-    /// See [`Relu::pool`].
-    pool: Workspace,
 }
 
 impl LeakyRelu {
     /// Creates a leaky ReLU with negative-slope `alpha`.
     pub fn new(alpha: f32) -> Self {
-        LeakyRelu {
-            alpha,
-            mask: None,
-            pool: Workspace::new(),
-        }
-    }
-
-    fn cache_mask(&mut self, x: &Tensor, ws: &Workspace) {
-        let mut mask = ws.take(x.shape());
-        backend::relu_mask(x.as_slice(), mask.as_mut_slice());
-        self.mask = Some(mask);
+        LeakyRelu { alpha, mask: None }
     }
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
         if mode.is_train() {
-            let pool = self.pool.clone();
-            self.cache_mask(x, &pool);
+            self.mask = Some(pooled_mask(x, ws));
         }
-        let mut out = Tensor::zeros(x.shape());
+        let mut out = ws.take(x.shape());
         backend::leaky_relu(x.as_slice(), self.alpha, out.as_mut_slice());
         Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mask = self
-            .mask
-            .take()
-            .ok_or(NnError::NoForwardCache("leaky_relu"))?;
-        let mut out = checked_grad_buf("leaky_relu backward", &mask, grad_out)?;
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
+        let (mask, mut out) = mask_and_grad_buf(&mut self.mask, "leaky_relu", grad_out, ws)?;
         backend::leaky_relu_backward(
             mask.as_slice(),
             grad_out.as_slice(),
             self.alpha,
             out.as_mut_slice(),
         );
-        Ok(out)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() {
-            self.cache_mask(x, ws);
-        }
-        let mut out = ws.take_from(x);
-        backend::leaky_relu_inplace(out.as_mut_slice(), self.alpha);
         Ok(out)
     }
 
@@ -228,28 +194,17 @@ mod tests {
     }
 
     #[test]
-    fn forward_ws_matches_forward() {
-        let ws = leca_tensor::Workspace::new();
-        let x = Tensor::from_slice(&[-2.0, -0.0, 0.0, 1.5, f32::NAN]);
-        let mut r = Relu::new();
-        let expected = r.forward(&x, Mode::Eval).unwrap();
-        let got = r.forward_ws(&x, Mode::Eval, &ws).unwrap();
-        assert_eq!(expected.as_slice()[..4], got.as_slice()[..4]);
-        assert!(got.as_slice()[4].is_nan());
-        let mut l = LeakyRelu::new(0.3);
-        let expected = l.forward(&x, Mode::Eval).unwrap();
-        let got = l.forward_ws(&x, Mode::Eval, &ws).unwrap();
-        assert_eq!(expected.as_slice()[..4], got.as_slice()[..4]);
-    }
-
-    #[test]
-    fn train_mode_ws_still_caches_for_backward() {
-        let ws = leca_tensor::Workspace::new();
+    fn train_mode_mask_returns_to_the_pool() {
+        let ws = Workspace::new();
         let mut r = Relu::new();
         let x = Tensor::from_slice(&[-1.0, 3.0]);
         let y = r.forward_ws(&x, Mode::Train, &ws).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 3.0]);
-        let g = r.backward(&Tensor::from_slice(&[5.0, 5.0])).unwrap();
+        let g = r
+            .backward_ws(&Tensor::from_slice(&[5.0, 5.0]), &ws)
+            .unwrap();
         assert_eq!(g.as_slice(), &[0.0, 5.0]);
+        drop((y, g));
+        assert_eq!((ws.stats().live, ws.stats().free), (0, 3));
     }
 }

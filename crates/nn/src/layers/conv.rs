@@ -1,5 +1,4 @@
 use crate::{Layer, Mode, NnError, Param, Result};
-use leca_tensor::ops::Conv2dGeometry;
 use leca_tensor::{kaiming_uniform, ops, PooledTensor, Tensor, Workspace};
 use rand::Rng;
 
@@ -30,7 +29,7 @@ pub struct Conv2d {
     stride: usize,
     pad: usize,
     kernel: usize,
-    cache: Option<Tensor>,
+    cache: Option<PooledTensor>,
 }
 
 impl Conv2d {
@@ -111,20 +110,18 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
+        let w = &self.weight.value;
+        let mut out = ws.take(&ops::conv2d_out_shape(x, w, self.stride, self.pad)?);
+        let bias = self.bias.as_ref().map(|p| &p.value);
+        ops::conv2d_into(x, w, bias, self.stride, self.pad, &mut out)?;
         if mode.is_train() {
-            self.cache = Some(x.clone());
+            self.cache = Some(ws.take_from(x));
         }
-        Ok(ops::conv2d(
-            x,
-            &self.weight.value,
-            self.bias.as_ref().map(|p| &p.value),
-            self.stride,
-            self.pad,
-        )?)
+        Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
         let x = self.cache.take().ok_or(NnError::NoForwardCache("conv2d"))?;
         // Frozen parameters accumulate no gradient (see `Param::frozen`):
         // their GEMMs would produce values nothing reads.
@@ -143,40 +140,9 @@ impl Layer for Conv2d {
             let gb = ops::sum_spatial_per_channel(grad_out)?;
             b.accumulate(&gb);
         }
-        Ok(ops::conv2d_grad_input(
-            grad_out,
-            &self.weight.value,
-            x.shape(),
-            self.stride,
-            self.pad,
-        )?)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        // Training still owns its activations (the backward cache outlives
-        // this call); invalid ranks fall back so the error path is shared.
-        if mode.is_train() || x.rank() != 4 {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
-        let (oh, ow) = Conv2dGeometry {
-            in_h: x.shape()[2],
-            in_w: x.shape()[3],
-            kh: self.kernel,
-            kw: self.kernel,
-            stride: self.stride,
-            pad: self.pad,
-        }
-        .out_dims()?;
-        let mut out = ws.take(&[x.shape()[0], self.weight.value.shape()[0], oh, ow]);
-        ops::conv2d_into(
-            x,
-            &self.weight.value,
-            self.bias.as_ref().map(|p| &p.value),
-            self.stride,
-            self.pad,
-            &mut out,
-        )?;
-        Ok(out)
+        let mut gx = ws.take(x.shape());
+        ops::conv2d_grad_input_into(grad_out, &self.weight.value, self.stride, self.pad, &mut gx)?;
+        Ok(gx)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -15,7 +15,7 @@ pub struct ConvTranspose2d {
     stride: usize,
     pad: usize,
     kernel: usize,
-    cache: Option<Tensor>,
+    cache: Option<PooledTensor>,
 }
 
 impl ConvTranspose2d {
@@ -73,20 +73,23 @@ impl ConvTranspose2d {
 }
 
 impl Layer for ConvTranspose2d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        if mode.is_train() {
-            self.cache = Some(x.clone());
-        }
-        Ok(ops::conv_transpose2d(
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
+        let w = &self.weight.value;
+        let mut out = ws.take(&ops::conv_transpose2d_out_shape(
             x,
-            &self.weight.value,
-            self.bias.as_ref().map(|p| &p.value),
+            w,
             self.stride,
             self.pad,
-        )?)
+        )?);
+        let bias = self.bias.as_ref().map(|p| &p.value);
+        ops::conv_transpose2d_into(x, w, bias, self.stride, self.pad, &mut out)?;
+        if mode.is_train() {
+            self.cache = Some(ws.take_from(x));
+        }
+        Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
         let x = self
             .cache
             .take()
@@ -106,35 +109,15 @@ impl Layer for ConvTranspose2d {
         if let Some(b) = self.bias.as_mut().filter(|b| !b.frozen) {
             b.accumulate(&ops::sum_spatial_per_channel(grad_out)?);
         }
-        Ok(ops::conv_transpose2d_grad_input(
+        let mut gx = ws.take(x.shape());
+        ops::conv_transpose2d_grad_input_into(
             grad_out,
             &self.weight.value,
             self.stride,
             self.pad,
-        )?)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() || x.rank() != 4 || self.stride == 0 {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
-        let (h, w) = (x.shape()[2], x.shape()[3]);
-        let (Some(oh), Some(ow)) = (
-            ((h - 1) * self.stride + self.kernel).checked_sub(2 * self.pad),
-            ((w - 1) * self.stride + self.kernel).checked_sub(2 * self.pad),
-        ) else {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        };
-        let mut out = ws.take(&[x.shape()[0], self.weight.value.shape()[1], oh, ow]);
-        ops::conv_transpose2d_into(
-            x,
-            &self.weight.value,
-            self.bias.as_ref().map(|p| &p.value),
-            self.stride,
-            self.pad,
-            &mut out,
+            &mut gx,
         )?;
-        Ok(out)
+        Ok(gx)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -7,7 +7,7 @@ use rand::Rng;
 pub struct Linear {
     weight: Param,
     bias: Param,
-    cache: Option<Tensor>,
+    cache: Option<PooledTensor>,
 }
 
 impl Linear {
@@ -47,21 +47,24 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        if mode.is_train() {
-            self.cache = Some(x.clone());
-        }
-        let mut y = ops::matmul_bt(x, &self.weight.value)?;
-        let (n, o) = (y.shape()[0], y.shape()[1]);
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
+        // A non-matrix `x` is rejected by `matmul_bt_into` before the
+        // buffer is read.
+        let (n, o) = (x.shape().first().copied().unwrap_or(0), self.out_features());
+        let mut y = ws.take(&[n, o]);
+        ops::matmul_bt_into(x, &self.weight.value, &mut y)?;
         let data = y.as_mut_slice();
         let bias = &self.bias.value.as_slice()[..o];
         for r in 0..n {
             leca_tensor::backend::add_assign(&mut data[r * o..(r + 1) * o], bias);
         }
+        if mode.is_train() {
+            self.cache = Some(ws.take_from(x));
+        }
         Ok(y)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
         let x = self.cache.take().ok_or(NnError::NoForwardCache("linear"))?;
         // dW = gᵀ · x ; db = sum over batch ; dx = g · W. Frozen
         // parameters accumulate no gradient (see `Param::frozen`).
@@ -72,22 +75,9 @@ impl Layer for Linear {
         if !self.bias.frozen {
             self.bias.accumulate(&ops::sum_axis0(grad_out)?);
         }
-        Ok(ops::matmul(grad_out, &self.weight.value)?)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() || x.rank() != 2 {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
-        let (n, o) = (x.shape()[0], self.out_features());
-        let mut y = ws.take(&[n, o]);
-        ops::matmul_bt_into(x, &self.weight.value, &mut y)?;
-        let data = y.as_mut_slice();
-        let bias = &self.bias.value.as_slice()[..o];
-        for r in 0..n {
-            leca_tensor::backend::add_assign(&mut data[r * o..(r + 1) * o], bias);
-        }
-        Ok(y)
+        let mut gx = ws.take(x.shape());
+        ops::matmul_into(grad_out, &self.weight.value, &mut gx)?;
+        Ok(gx)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -1,48 +1,41 @@
 use crate::{Layer, Mode, NnError, Result};
-use leca_tensor::ops::{self, MaxPoolIndices};
+use leca_tensor::ops;
 use leca_tensor::{PooledTensor, Tensor, Workspace};
 
 /// Non-overlapping average pooling (`k x k` window, stride `k`).
 #[derive(Debug)]
 pub struct AvgPool2d {
     k: usize,
-    did_forward: bool,
+    /// Input shape of the last `Train` forward.
+    in_shape: Option<[usize; 4]>,
 }
 
 impl AvgPool2d {
     /// Creates an average-pool layer with window `k`.
     pub fn new(k: usize) -> Self {
-        AvgPool2d {
-            k,
-            did_forward: false,
-        }
+        AvgPool2d { k, in_shape: None }
     }
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        if mode.is_train() {
-            self.did_forward = true;
-        }
-        Ok(ops::avg_pool2d(x, self.k)?)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        if !self.did_forward {
-            return Err(NnError::NoForwardCache("avg_pool2d"));
-        }
-        self.did_forward = false;
-        Ok(ops::avg_pool2d_backward(grad_out, self.k)?)
-    }
-
     fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() || !pool_geometry_ok(x, self.k) {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
-        let d = x.shape();
-        let mut out = ws.take(&[d[0], d[1], d[2] / self.k, d[3] / self.k]);
+        let mut out = ws.take(&ops::pool2d_out_shape(x, self.k)?);
         ops::avg_pool2d_into(x, self.k, &mut out)?;
+        if mode.is_train() {
+            let d = x.shape();
+            self.in_shape = Some([d[0], d[1], d[2], d[3]]);
+        }
         Ok(out)
+    }
+
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
+        let in_shape = self
+            .in_shape
+            .take()
+            .ok_or(NnError::NoForwardCache("avg_pool2d"))?;
+        let mut gx = ws.take(&in_shape);
+        ops::avg_pool2d_backward_into(grad_out, self.k, &mut gx)?;
+        Ok(gx)
     }
 
     fn name(&self) -> &'static str {
@@ -54,54 +47,40 @@ impl Layer for AvgPool2d {
     }
 }
 
-/// True when `x` is rank 4 with spatial dims divisible by window `k` — the
-/// only geometry the `_into` pooling kernels accept. Anything else falls
-/// back to the allocating path so error reporting stays shared.
-fn pool_geometry_ok(x: &Tensor, k: usize) -> bool {
-    x.rank() == 4 && k != 0 && x.shape()[2].is_multiple_of(k) && x.shape()[3].is_multiple_of(k)
-}
-
 /// Non-overlapping max pooling (`k x k` window, stride `k`).
 #[derive(Debug)]
 pub struct MaxPool2d {
     k: usize,
-    indices: Option<MaxPoolIndices>,
+    /// Input of the last `Train` forward; backward re-finds each window's
+    /// maximum in it.
+    cache: Option<PooledTensor>,
 }
 
 impl MaxPool2d {
     /// Creates a max-pool layer with window `k`.
     pub fn new(k: usize) -> Self {
-        MaxPool2d { k, indices: None }
+        MaxPool2d { k, cache: None }
     }
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let (out, idx) = ops::max_pool2d(x, self.k)?;
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
+        let mut out = ws.take(&ops::pool2d_out_shape(x, self.k)?);
+        ops::max_pool2d_into(x, self.k, &mut out)?;
         if mode.is_train() {
-            self.indices = Some(idx);
+            self.cache = Some(ws.take_from(x));
         }
         Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let idx = self
-            .indices
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
+        let x = self
+            .cache
             .take()
             .ok_or(NnError::NoForwardCache("max_pool2d"))?;
-        Ok(ops::max_pool2d_backward(grad_out, &idx)?)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() || !pool_geometry_ok(x, self.k) {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
-        let d = x.shape();
-        let mut out = ws.take(&[d[0], d[1], d[2] / self.k, d[3] / self.k]);
-        // Inference never runs backward: the index-free kernel avoids the
-        // argmax vector allocation entirely.
-        ops::max_pool2d_into(x, self.k, &mut out)?;
-        Ok(out)
+        let mut gx = ws.take(x.shape());
+        ops::max_pool2d_backward_into(grad_out, &x, self.k, &mut gx)?;
+        Ok(gx)
     }
 
     fn name(&self) -> &'static str {

@@ -1,5 +1,5 @@
 use crate::layers::{BatchNorm2d, Conv2d, Relu, Sequential};
-use crate::{Layer, Mode, NnError, Param, Result};
+use crate::{Layer, Mode, Param, Result};
 use leca_tensor::{PooledTensor, Tensor, Workspace};
 use rand::Rng;
 
@@ -12,7 +12,6 @@ pub struct ResidualBlock {
     main: Sequential,
     shortcut: Option<Sequential>,
     final_relu: Relu,
-    cache: Option<Tensor>,
 }
 
 impl std::fmt::Debug for ResidualBlock {
@@ -45,7 +44,6 @@ impl ResidualBlock {
             main,
             shortcut,
             final_relu: Relu::new(),
-            cache: None,
         }
     }
 
@@ -56,48 +54,28 @@ impl ResidualBlock {
 }
 
 impl Layer for ResidualBlock {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let main_out = self.main.forward(x, mode)?;
-        let skip_out = match &mut self.shortcut {
-            Some(s) => s.forward(x, mode)?,
-            None => x.clone(),
-        };
-        let sum = main_out.add(&skip_out)?;
-        if mode.is_train() {
-            self.cache = Some(sum.clone());
-        }
-        self.final_relu.forward(&sum, mode)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        self.cache
-            .take()
-            .ok_or(NnError::NoForwardCache("residual_block"))?;
-        let g_sum = self.final_relu.backward(grad_out)?;
-        let g_main = self.main.backward(&g_sum)?;
-        let g_skip = match &mut self.shortcut {
-            Some(s) => s.backward(&g_sum)?,
-            None => g_sum,
-        };
-        Ok(g_main.add(&g_skip)?)
-    }
-
     fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
         let main_out = self.main.forward_ws(x, mode, ws)?;
         let mut sum = ws.take(main_out.shape());
         match &mut self.shortcut {
-            Some(s) => {
-                let skip_out = s.forward_ws(x, mode, ws)?;
-                main_out.add_into(&skip_out, &mut sum)?;
-            }
-            // Identity skip adds `x` directly — no clone of the input.
+            Some(s) => main_out.add_into(&*s.forward_ws(x, mode, ws)?, &mut sum)?,
+            // Identity skip adds `x` directly — no copy of the input.
             None => main_out.add_into(x, &mut sum)?,
         }
         drop(main_out);
+        // The final ReLU's mask is the block's only cache of its own.
         self.final_relu.forward_ws(&sum, mode, ws)
+    }
+
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
+        let g_sum = self.final_relu.backward_ws(grad_out, ws)?;
+        let g_main = self.main.backward_ws(&g_sum, ws)?;
+        let mut gx = ws.take(g_main.shape());
+        match &mut self.shortcut {
+            Some(s) => g_main.add_into(&*s.backward_ws(&g_sum, ws)?, &mut gx)?,
+            None => g_main.add_into(&g_sum, &mut gx)?,
+        }
+        Ok(gx)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -16,35 +16,26 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        if x.rank() < 1 {
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
+        let Some(&n) = x.shape().first() else {
             return Err(NnError::InvalidConfig("flatten requires rank >= 1".into()));
-        }
+        };
         if mode.is_train() {
             self.in_shape = Some(x.shape().to_vec());
         }
-        let n = x.shape()[0];
-        let rest = x.len() / n.max(1);
-        Ok(x.reshape(&[n, rest])?)
+        let mut out = ws.take_from(x);
+        out.reshape_in_place(&[n, x.len() / n.max(1)])?;
+        Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
         let shape = self
             .in_shape
             .take()
             .ok_or(NnError::NoForwardCache("flatten"))?;
-        Ok(grad_out.reshape(&shape)?)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() || x.rank() < 1 {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
-        let n = x.shape()[0];
-        let rest = x.len() / n.max(1);
-        let mut out = ws.take_from(x);
-        out.reshape_in_place(&[n, rest])?;
-        Ok(out)
+        let mut gx = ws.take_from(grad_out);
+        gx.reshape_in_place(&shape)?;
+        Ok(gx)
     }
 
     fn name(&self) -> &'static str {
@@ -72,7 +63,7 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
         if x.rank() != 4 {
             return Err(NnError::Tensor(leca_tensor::TensorError::RankMismatch {
                 op: "global_avg_pool",
@@ -85,18 +76,15 @@ impl Layer for GlobalAvgPool {
         if mode.is_train() {
             self.in_shape = Some([d[0], d[1], d[2], d[3]]);
         }
-        let mut out = Tensor::zeros(&[n, c]);
+        let mut out = ws.take(&[n, c]);
         let inv = 1.0 / hw.max(1) as f32;
-        for ni in 0..n {
-            for ci in 0..c {
-                let plane = &x.as_slice()[(ni * c + ci) * hw..(ni * c + ci + 1) * hw];
-                out.as_mut_slice()[ni * c + ci] = reduce::sum_slice_f32(plane) * inv;
-            }
+        for (plane, o) in x.as_slice().chunks_exact(hw.max(1)).zip(out.as_mut_slice()) {
+            *o = reduce::sum_slice_f32(plane) * inv;
         }
         Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
         let [n, c, h, w] = self
             .in_shape
             .take()
@@ -110,33 +98,15 @@ impl Layer for GlobalAvgPool {
         }
         let hw = h * w;
         let inv = 1.0 / hw.max(1) as f32;
-        let mut gx = Tensor::zeros(&[n, c, h, w]);
-        for ni in 0..n {
-            for ci in 0..c {
-                let g = grad_out.as_slice()[ni * c + ci] * inv;
-                for p in 0..hw {
-                    gx.as_mut_slice()[(ni * c + ci) * hw + p] = g;
-                }
-            }
+        let mut gx = ws.take(&[n, c, h, w]);
+        for (plane, &g) in gx
+            .as_mut_slice()
+            .chunks_exact_mut(hw.max(1))
+            .zip(grad_out.as_slice())
+        {
+            plane.fill(g * inv);
         }
         Ok(gx)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
-        if mode.is_train() || x.rank() != 4 {
-            return Ok(ws.adopt(self.forward(x, mode)?));
-        }
-        let d = x.shape();
-        let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
-        let mut out = ws.take(&[n, c]);
-        let inv = 1.0 / hw.max(1) as f32;
-        for ni in 0..n {
-            for ci in 0..c {
-                let plane = &x.as_slice()[(ni * c + ci) * hw..(ni * c + ci + 1) * hw];
-                out.as_mut_slice()[ni * c + ci] = reduce::sum_slice_f32(plane) * inv;
-            }
-        }
-        Ok(out)
     }
 
     fn name(&self) -> &'static str {

@@ -8,7 +8,7 @@
 //! in `leca-core`.
 
 use crate::{Layer, Mode, NnError, Result};
-use leca_tensor::Tensor;
+use leca_tensor::{PooledTensor, Tensor, Workspace};
 
 /// A quantization bit depth, including the paper's 1.5-bit (ternary) mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,7 +97,8 @@ pub struct UniformQuantSte {
     depth: BitDepth,
     lo: f32,
     hi: f32,
-    mask: Option<Vec<bool>>,
+    /// `1.0` where the last `Train` input was inside `[lo, hi]`.
+    mask: Option<PooledTensor>,
 }
 
 impl UniformQuantSte {
@@ -132,20 +133,19 @@ impl UniformQuantSte {
 }
 
 impl Layer for UniformQuantSte {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        if mode.is_train() {
-            self.mask = Some(
-                x.as_slice()
-                    .iter()
-                    .map(|&v| v >= self.lo && v <= self.hi)
-                    .collect(),
-            );
-        }
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &Workspace) -> Result<PooledTensor> {
         let (lo, hi, levels) = (self.lo, self.hi, self.depth.levels());
-        Ok(x.map(|v| quantize_uniform(v, lo, hi, levels)))
+        if mode.is_train() {
+            let mut mask = ws.take_from(x);
+            mask.map_inplace(|v| if v >= lo && v <= hi { 1.0 } else { 0.0 });
+            self.mask = Some(mask);
+        }
+        let mut out = ws.take_from(x);
+        out.map_inplace(|v| quantize_uniform(v, lo, hi, levels));
+        Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &Workspace) -> Result<PooledTensor> {
         let mask = self
             .mask
             .take()
@@ -157,9 +157,9 @@ impl Layer for UniformQuantSte {
                 actual: grad_out.len(),
             });
         }
-        let mut g = grad_out.clone();
-        for (v, m) in g.as_mut_slice().iter_mut().zip(mask) {
-            if !m {
+        let mut g = ws.take_from(grad_out);
+        for (v, &m) in g.as_mut_slice().iter_mut().zip(mask.as_slice()) {
+            if m == 0.0 {
                 *v = 0.0;
             }
         }

@@ -414,12 +414,27 @@ pub fn conv2d(
     stride: usize,
     pad: usize,
 ) -> Result<Tensor> {
+    let mut out = Tensor::zeros(&conv2d_out_shape(x, weight, stride, pad)?);
+    conv2d_into(x, weight, bias, stride, pad, &mut out)?;
+    Ok(out)
+}
+
+/// The `(N, O, oh, ow)` output shape of [`conv2d`], the shape
+/// [`conv2d_into`] expects of its `out`.
+///
+/// # Errors
+///
+/// Returns an error for non-rank-4 operands or invalid geometry.
+pub fn conv2d_out_shape(
+    x: &Tensor,
+    weight: &Tensor,
+    stride: usize,
+    pad: usize,
+) -> Result<[usize; 4]> {
     let [n, _, _, _] = expect_rank4("conv2d", x)?;
     let [o, _, kh, kw] = expect_rank4("conv2d", weight)?;
     let (_, oh, ow) = im2col_view(x, kh, kw, stride, pad)?;
-    let mut out = Tensor::zeros(&[n, o, oh, ow]);
-    conv2d_into(x, weight, bias, stride, pad, &mut out)?;
-    Ok(out)
+    Ok([n, o, oh, ow])
 }
 
 /// [`conv2d`] writing into the caller-provided `(N, O, oh, ow)` tensor
@@ -507,18 +522,44 @@ pub fn conv2d_grad_input(
     stride: usize,
     pad: usize,
 ) -> Result<Tensor> {
+    let mut grad_x = Tensor::zeros(x_shape);
+    conv2d_grad_input_into(grad_out, weight, stride, pad, &mut grad_x)?;
+    Ok(grad_x)
+}
+
+/// [`conv2d_grad_input`] writing into the caller-provided `grad_x`, whose
+/// shape is the `(N, C, H, W)` shape of the original input; bit-identical
+/// to the allocating variant. Every element of `grad_x` is overwritten.
+///
+/// # Errors
+///
+/// Returns an error for rank/shape mismatches or invalid geometry.
+pub fn conv2d_grad_input_into(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    stride: usize,
+    pad: usize,
+    grad_x: &mut Tensor,
+) -> Result<()> {
     let [n, o, oh, ow] = expect_rank4("conv2d_grad_input", grad_out)?;
     let [wo, c, kh, kw] = expect_rank4("conv2d_grad_input", weight)?;
-    if wo != o || x_shape.len() != 4 {
+    let [xn, xc, h, w] = expect_rank4("conv2d_grad_input", grad_x)?;
+    let geom = Conv2dGeometry {
+        in_h: h,
+        in_w: w,
+        kh,
+        kw,
+        stride,
+        pad,
+    };
+    if wo != o || (xn, xc) != (n, c) || geom.out_dims()? != (oh, ow) {
         return Err(TensorError::ShapeMismatch {
             op: "conv2d_grad_input",
             lhs: grad_out.shape().to_vec(),
-            rhs: weight.shape().to_vec(),
+            rhs: grad_x.shape().to_vec(),
         });
     }
-    let (h, w) = (x_shape[2], x_shape[3]);
     let (ckk, opix, chw) = (c * kh * kw, oh * ow, c * h * w);
-    let mut grad_x = Tensor::zeros(&[n, c, h, w]);
     // grad_cols = Wᵀ · gmat with W the (O, C*kh*kw) weight matrix as a
     // strided view (exactly `matmul_at`), then folded back by col2im. The
     // batch is walked a few images at a time, so the column matrix stays
@@ -551,25 +592,15 @@ pub fn conv2d_grad_input(
                     },
                     cols,
                 );
-                col2im_scatter(
-                    cols,
-                    &mut grad_x.as_mut_slice()[i0 * chw..(i0 + nb) * chw],
-                    nb,
-                    c,
-                    h,
-                    w,
-                    kh,
-                    kw,
-                    stride,
-                    pad,
-                    oh,
-                    ow,
-                );
+                // col2im accumulates: start this chunk of images from zero.
+                let gx = &mut grad_x.as_mut_slice()[i0 * chw..(i0 + nb) * chw];
+                gx.fill(0.0);
+                col2im_scatter(cols, gx, nb, c, h, w, kh, kw, stride, pad, oh, ow);
                 i0 += nb;
             }
         });
     });
-    Ok(grad_x)
+    Ok(())
 }
 
 /// Gradient of [`conv2d`] with respect to its weight.
@@ -633,12 +664,27 @@ pub fn conv_transpose2d(
     stride: usize,
     pad: usize,
 ) -> Result<Tensor> {
+    let mut out = Tensor::zeros(&conv_transpose2d_out_shape(x, weight, stride, pad)?);
+    conv_transpose2d_into(x, weight, bias, stride, pad, &mut out)?;
+    Ok(out)
+}
+
+/// The `(N, O, oh, ow)` output shape of [`conv_transpose2d`], the shape
+/// [`conv_transpose2d_into`] expects of its `out`.
+///
+/// # Errors
+///
+/// Returns an error for non-rank-4 operands or invalid geometry.
+pub fn conv_transpose2d_out_shape(
+    x: &Tensor,
+    weight: &Tensor,
+    stride: usize,
+    pad: usize,
+) -> Result<[usize; 4]> {
     let [n, _, h, w] = expect_rank4("conv_transpose2d", x)?;
     let [_, o, kh, kw] = expect_rank4("conv_transpose2d", weight)?;
     let (oh, ow) = conv_transpose_out_dims(h, w, kh, kw, stride, pad)?;
-    let mut out = Tensor::zeros(&[n, o, oh, ow]);
-    conv_transpose2d_into(x, weight, bias, stride, pad, &mut out)?;
-    Ok(out)
+    Ok([n, o, oh, ow])
 }
 
 /// Output spatial dims of a transposed convolution: `(H-1)*s + k - 2*pad`.
@@ -744,6 +790,25 @@ pub fn conv_transpose2d_grad_input(
     stride: usize,
     pad: usize,
 ) -> Result<Tensor> {
+    let mut grad_x = Tensor::zeros(&conv2d_out_shape(grad_out, weight, stride, pad)?);
+    conv_transpose2d_grad_input_into(grad_out, weight, stride, pad, &mut grad_x)?;
+    Ok(grad_x)
+}
+
+/// [`conv_transpose2d_grad_input`] writing into the caller-provided
+/// `grad_x` (the `(N, Ci, H, W)` shape of the original input),
+/// bit-identical to the allocating variant.
+///
+/// # Errors
+///
+/// Returns an error for rank/shape mismatches or invalid geometry.
+pub fn conv_transpose2d_grad_input_into(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    stride: usize,
+    pad: usize,
+    grad_x: &mut Tensor,
+) -> Result<()> {
     let [_, o, _, _] = expect_rank4("conv_transpose2d_grad_input", grad_out)?;
     let [_, wo, _, _] = expect_rank4("conv_transpose2d_grad_input", weight)?;
     if wo != o {
@@ -757,7 +822,7 @@ pub fn conv_transpose2d_grad_input(
     // grad_out with the same kernel, read as a (Ci, O, kh, kw) conv weight.
     // The forward-input grid (H, W) is exactly that convolution's output
     // grid.
-    conv2d(grad_out, weight, None, stride, pad)
+    conv2d_into(grad_out, weight, None, stride, pad, grad_x)
 }
 
 /// Gradient of [`conv_transpose2d`] with respect to its weight.

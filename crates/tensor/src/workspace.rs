@@ -204,26 +204,19 @@ impl Workspace {
         self.wrap(data, shape)
     }
 
-    /// Wraps an already-allocated tensor so its buffer joins the pool when
-    /// dropped. Used by the default `forward_ws` path of layers that have
-    /// no buffer-reusing implementation.
-    pub fn adopt(&self, t: Tensor) -> PooledTensor {
-        {
-            let mut p = self.lock();
-            p.live += 1;
-            p.live_bytes += t.len() * std::mem::size_of::<f32>();
-        }
-        PooledTensor {
-            t: Some(t),
-            pool: Arc::clone(&self.inner),
-        }
-    }
-
     fn wrap(&self, data: Vec<f32>, shape: Vec<usize>) -> PooledTensor {
         PooledTensor {
             t: Some(Tensor::from_raw_parts(data, Shape::from(shape))),
             pool: Arc::clone(&self.inner),
         }
+    }
+
+    /// Frees every parked buffer. Live checkouts are unaffected and still
+    /// return to the pool when dropped.
+    pub fn trim(&self) {
+        let mut p = self.lock();
+        p.buckets.iter_mut().for_each(Vec::clear);
+        p.shapes.clear();
     }
 
     /// Current pool counters.
@@ -259,13 +252,17 @@ impl PooledTensor {
     /// Severs the tensor from the pool: the buffer will be freed normally
     /// instead of returning to the free list.
     pub fn detach(mut self) -> Tensor {
-        let t = self.t.take().expect("pooled tensor already taken");
-        let mut p = self
-            .pool
+        let (data, shape) = self
+            .t
+            .take()
+            .expect("pooled tensor already taken")
+            .into_parts();
+        // Checkouts are counted by buffer capacity, so release the same.
+        self.pool
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        p.release(t.len());
-        t
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .release(data.capacity());
+        Tensor::from_raw_parts(data, shape)
     }
 }
 
@@ -348,32 +345,30 @@ mod tests {
     }
 
     #[test]
-    fn adopt_joins_pool_on_drop() {
+    fn detach_leaves_pool_accounting_clean() {
         let ws = Workspace::new();
-        {
-            // Power-of-two length: the exact capacity files into the same
-            // bucket a checkout of this length is served from.
-            let _t = ws.adopt(Tensor::ones(&[16]));
-            assert_eq!(ws.stats().live, 1);
-        }
-        let s = ws.stats();
-        assert_eq!(s.live, 0);
-        assert_eq!(s.free, 1);
-        // The adopted buffer now serves checkouts.
-        let t = ws.take(&[16]);
-        assert!(t.as_slice().iter().all(|&v| v == 0.0));
-        assert_eq!(ws.stats().hits, 1);
+        // 300 elements sit in a 512-element buffer: the release must
+        // subtract the capacity the checkout counted, not the length.
+        let t = ws.take(&[3, 100]).detach();
+        assert_eq!(t.shape(), &[3, 100]);
+        assert_eq!(
+            ws.stats(),
+            WorkspaceStats {
+                misses: 1,
+                ..Default::default()
+            }
+        );
     }
 
     #[test]
-    fn detach_leaves_pool_accounting_clean() {
+    fn trim_frees_parked_buffers_only() {
         let ws = Workspace::new();
-        let t = ws.take(&[4]).detach();
-        assert_eq!(t.len(), 4);
-        let s = ws.stats();
-        assert_eq!(s.live, 0);
-        assert_eq!(s.free, 0);
-        assert_eq!(s.bytes_resident, 0);
+        let live = ws.take(&[8]);
+        drop(ws.take(&[16]));
+        ws.trim();
+        assert_eq!((ws.stats().live, ws.stats().free), (1, 0));
+        drop(live);
+        assert_eq!(ws.stats().free, 1);
     }
 
     #[test]

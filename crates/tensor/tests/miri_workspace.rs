@@ -92,20 +92,6 @@ fn detach_outlives_workspace() {
     assert!(detached.as_slice().iter().all(|&v| v == 3.5));
 }
 
-/// `adopt` moves an externally-allocated tensor into the pool's custody;
-/// its buffer must serve later checkouts like any pooled one.
-#[test]
-fn adopt_then_reuse_roundtrip() {
-    let ws = Workspace::new();
-    {
-        let adopted = ws.adopt(Tensor::from_vec(vec![9.0; 16], &[16]).unwrap());
-        assert_eq!(adopted.as_slice(), &[9.0; 16]);
-    }
-    let t = ws.take(&[4, 4]);
-    assert!(t.as_slice().iter().all(|&v| v == 0.0));
-    assert_eq!(ws.stats().hits, 1, "adopted buffer must serve the checkout");
-}
-
 /// `take_from` must produce an independent copy: mutating the pooled copy
 /// cannot touch the source, and vice versa.
 #[test]

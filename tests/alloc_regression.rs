@@ -17,7 +17,7 @@ use leca::core::encoder::Modality;
 use leca::core::pipeline::LecaPipeline;
 use leca::core::session::InferenceSession;
 use leca::nn::backbone::tiny_cnn;
-use leca::nn::Mode;
+use leca::nn::{Layer, Mode};
 use leca::tensor::parallel::refresh_num_threads;
 use leca::tensor::Tensor;
 use rand::rngs::StdRng;

@@ -7,7 +7,7 @@ use leca::core::encoder::Modality;
 use leca::core::trainer::{self, TrainConfig};
 use leca::core::LecaPipeline;
 use leca::data::{SynthConfig, SynthVision};
-use leca::nn::Mode;
+use leca::nn::{Layer, Mode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

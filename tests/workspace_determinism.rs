@@ -1,16 +1,15 @@
 //! Bit-exactness of the workspace inference path.
 //!
-//! The `forward_ws` layer path reuses pooled buffers but must reproduce
-//! the allocating `forward` path **bit for bit** — the `_into` kernels
-//! share the blocked-GEMM core, checkouts are zero-filled exactly like
-//! `Tensor::zeros`, and no reduction order changes. This file pins that
-//! equivalence at `LECA_THREADS` 1 and 8, for both the Soft pipeline (the
-//! fully pooled path) and the Hard pipeline (hardware encoder falls back
-//! to its allocating forward, decoder/backbone stay pooled).
+//! Every layer has one implementation, `forward_ws`; the one-off
+//! `Layer::forward` runs it on a fresh workspace, while a session reuses
+//! its pool across batches. Reuse must never change a bit — checkouts are
+//! zero-filled exactly like `Tensor::zeros` and no reduction order
+//! depends on which buffer a stage lands in. This file pins that at
+//! `LECA_THREADS` 1 and 8 and across kernel backends, for the Soft and
+//! the Hard pipeline (whose hardware encoder also writes into the pool).
 //!
-//! `tests/determinism.rs` holds the pre-rewrite goldens; this file only
-//! needs relative equality because the allocating path is itself pinned
-//! there.
+//! `tests/determinism.rs` holds the goldens; this file only needs
+//! relative equality because the fresh-pool path is itself pinned there.
 
 use leca::core::config::LecaConfig;
 use leca::core::encoder::Modality;
