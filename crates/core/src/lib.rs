@@ -21,8 +21,7 @@
 //! * [`eval`] — the shared evaluation protocol: any codec or pipeline
 //!   against the same frozen backbone.
 //! * [`session`] — the workspace-backed inference driver: one buffer pool
-//!   per pipeline, zero steady-state heap allocations, bit-identical to
-//!   the allocating forward path.
+//!   per pipeline, zero steady-state heap allocations.
 //! * [`deploy`] — kernel flattening (RGB → Bayer, Fig. 5(a)), programming
 //!   the trained codes into the [`leca_sensor::LecaSensor`], and an
 //!   end-to-end hardware-in-the-loop check.

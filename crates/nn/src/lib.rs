@@ -4,9 +4,10 @@
 //! through a **frozen** pre-trained CNN backbone. That requires exact
 //! gradients but not a general autograd engine, so this crate implements the
 //! classic layer-wise design: every [`Layer`] owns its parameters and
-//! caches, computes `forward`, and returns the input gradient from
-//! `backward`. All gradients are verified against finite differences in the
-//! test suite (see [`gradcheck`]).
+//! caches, computes `forward_ws`, and returns the input gradient from
+//! `backward_ws`, drawing every buffer from a `leca_tensor::Workspace`.
+//! All gradients are verified against finite differences in the test
+//! suite (see [`gradcheck`]).
 //!
 //! Contents:
 //!
